@@ -164,51 +164,45 @@ class SBStructure:
 class MatchStructure:
     """Flat matching-problem arena for one dp/bj direction.
 
-    Each maintained pair is one matching problem; ``ba_lslot`` /
-    ``ba_rslot`` are globally disjoint slot ids (so one stamp array
-    serves every problem).  The greedy visit order is *not* stored per
-    entry: an entry's weight and repr tie-break are functions of its
-    arena pair alone, so the runtime ranks the (much smaller) arena once
-    per sweep and walks arena pairs in rank order.  Entries of one arena
-    pair can never conflict (one occurrence per problem, disjoint slots),
-    so each rank step processes its whole entry list vectorized -- that
-    is what the ``ba_*`` (by-arena CSR) layout is for.  The by-problem
-    ``ent_arena`` remains for the dirty-subset round selection and the
-    dependency counts; the by-problem slot arrays (``ent_lslot`` /
-    ``ent_rslot``) are kept so the streaming patcher can splice rebuilt
-    rows without reconstructing them from the by-arena layout.
+    Each maintained pair is one matching problem: its entries are the
+    segment ``ent_start[p] : ent_start[p] + ent_count[p]`` of the
+    by-problem arrays.  ``ent_lslot`` / ``ent_rslot`` are globally
+    disjoint slot ids, so one used-slot mask serves every problem.  The
+    greedy visit order is *not* stored per entry: an entry's weight and
+    repr tie-break are functions of its arena pair (``ent_arena``) alone,
+    so the runtime ranks the (much smaller) arena once per sweep and
+    sorts each problem's entries by that rank
+    (:func:`repro.core.vectorized.greedy_matching_sums`).
     """
 
     __slots__ = (
         "ent_arena", "ent_count", "ent_start", "ent_lslot", "ent_rslot",
-        "ba_indptr", "ba_prob", "ba_lslot", "ba_rslot",
         "cap", "num_lslots", "num_rslots",
     )
 
-    def __init__(self, ent_arena, ent_lslot, ent_rslot, ent_pair, ent_count,
-                 cap, num_lslots, num_rslots, num_arena):
-        ent_arena = ent_arena.astype(np.int32, copy=False)
-        ent_lslot = ent_lslot.astype(np.int32, copy=False)
-        ent_rslot = ent_rslot.astype(np.int32, copy=False)
-        self.ent_arena = ent_arena
+    def __init__(self, ent_arena, ent_lslot, ent_rslot, ent_count,
+                 cap, num_lslots, num_rslots):
+        self.ent_arena = ent_arena.astype(np.int32, copy=False)
         self.ent_count = ent_count
         self.ent_start = np.cumsum(ent_count) - ent_count
-        self.ent_lslot = ent_lslot
-        self.ent_rslot = ent_rslot
-        # by-arena CSR (stable radix argsort keeps rank-step entries in
-        # deterministic problem order, though any order is correct).
-        order = np.argsort(ent_arena, kind="stable")
-        counts = np.bincount(ent_arena, minlength=num_arena)
-        self.ba_indptr = np.zeros(num_arena + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.ba_indptr[1:])
-        self.ba_prob = ent_pair.astype(np.int32, copy=False)[order]
-        self.ba_lslot = ent_lslot[order]
-        self.ba_rslot = ent_rslot[order]
+        self.ent_lslot = ent_lslot.astype(np.int32, copy=False)
+        self.ent_rslot = ent_rslot.astype(np.int32, copy=False)
         #: Greedy saturation bound per problem: the maximum matching size
         #: |M_chi| -- once this many pairs are matched the problem is done.
         self.cap = cap
         self.num_lslots = num_lslots
         self.num_rslots = num_rslots
+
+    def __setstate__(self, state):
+        # Pickled slot objects arrive as ``(dict_state, slot_state)``.
+        # Snapshots written before the greedy kernel went position-major
+        # also carry the by-arena ``ba_*`` slots, which this layout no
+        # longer has; skipping unknown names keeps those snapshots
+        # readable (the remaining slots are unchanged).
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                if name in MatchStructure.__slots__:
+                    setattr(self, name, value)
 
 
 class CrossStructure:
@@ -893,7 +887,7 @@ class CompiledFSim:
                    vs: np.ndarray, lbase: np.ndarray, rbase: np.ndarray):
         """Flat matching entries for the rows ``(us, vs)`` in reference
         order, with the given per-row slot base offsets.  Returns
-        ``(ent_pair, ent_lslot, ent_rslot, ent_arena, ent_count)``."""
+        ``(ent_lslot, ent_rslot, ent_arena, ent_count)``."""
         parts: List[Tuple[np.ndarray, ...]] = []
         for pair_pos, a_local, b_local, arena in self._cross_feasible(
             csr1, csr2, outer="left", us=us, vs=vs
@@ -915,14 +909,14 @@ class CompiledFSim:
             ent_rslot = np.empty(0, dtype=np.int64)
             ent_arena = np.empty(0, dtype=np.int64)
         ent_count = np.bincount(ent_pair, minlength=len(us)).astype(np.int64)
-        return ent_pair, ent_lslot, ent_rslot, ent_arena, ent_count
+        return ent_lslot, ent_rslot, ent_arena, ent_count
 
     def _match_entries(self, csr1: _Csr, csr2: _Csr) -> MatchStructure:
         d1 = csr1.degrees[self.upd_u]
         d2 = csr2.degrees[self.upd_v]
         lbase = np.cumsum(d1) - d1
         rbase = np.cumsum(d2) - d2
-        ent_pair, ent_lslot, ent_rslot, ent_arena, ent_count = self._match_raw(
+        ent_lslot, ent_rslot, ent_arena, ent_count = self._match_raw(
             csr1, csr2, self.upd_u, self.upd_v, lbase, rbase
         )
         caps = self._mapping_sizes(
@@ -932,12 +926,10 @@ class CompiledFSim:
             ent_arena,
             ent_lslot,
             ent_rslot,
-            ent_pair,
             ent_count,
             caps,
             int(d1.sum()),
             int(d2.sum()),
-            self.num_feasible,
         )
 
     # ------------------------------------------------------------------
@@ -1092,7 +1084,7 @@ class CompiledFSim:
         SBStructure: SBStructure.__slots__,
         MatchStructure: (
             "ent_arena", "ent_count", "ent_start", "ent_lslot", "ent_rslot",
-            "ba_indptr", "ba_prob", "ba_lslot", "ba_rslot", "cap",
+            "cap",
         ),
         CrossStructure: CrossStructure.__slots__,
     }

@@ -7,14 +7,15 @@ but on the integer-indexed representation of :mod:`repro.core.compile`:
   (``np.maximum.reduceat`` over precomputed per-source groups) followed
   by per-pair segment sums;
 - the cross/SimRank term becomes a per-pair segment sum;
-- the dp/bj greedy matching exploits that an entry's weight and repr
-  tie-break are functions of its arena pair alone: the arena is sorted
-  once per sweep by ``(-score, repr-rank)`` and arena pairs are visited
-  in that order.  All entries of one arena pair are mutually
-  conflict-free, so every rank step runs vectorized over slot-stamp
-  arrays (small instances use a flat sorted Python pass instead).  The
-  repr-rank reproduces the reference tie-breaking bit for bit (see
-  ``CompiledFSim.tie_rank``);
+- the dp/bj greedy matching runs in one *position-major* kernel
+  (:func:`greedy_matching_sums`): an entry's weight and repr tie-break
+  are functions of its arena pair alone, so ranking the arena once per
+  sweep (:func:`greedy_rank`) orders every problem's entries.  One sort
+  lines each problem's entries up in that order; step ``k`` then takes
+  the ``k``-th entry of every live problem at once.  Slots are disjoint
+  across problems, so a step has no conflicts, and each problem's sum
+  accumulates in its own visit order -- bit for bit the reference's.
+  The last few long problems finish in a short sequential loop;
 - after each sweep, the *incremental scheduler* re-queues only the pairs
   whose Equation-3 inputs changed (``dirty_tolerance`` widens "changed"
   to ``|change| > tol``; the default 0.0 keeps the trajectory bitwise
@@ -35,9 +36,15 @@ import numpy as np
 from repro.core.compile import (
     CompiledFSim,
     DirectionTerm,
+    MatchStructure,
     compile_fsim,
     ragged_indices,
     segment_sum,
+)
+from repro.obs.profiling import (
+    observe_greedy_kernel,
+    observe_iterations,
+    phase,
 )
 
 #: Arena-pair score changes larger than this re-queue the dependent pairs
@@ -47,6 +54,138 @@ DEFAULT_DIRTY_TOLERANCE = 0.0
 
 SweepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: Once fewer problems than this are still matching, the greedy kernel
+#: finishes them one entry at a time: for so few problems a numpy step
+#: per entry costs more than a plain loop (hub problems run long).
+TAIL_PROBLEMS = 48
+
+
+def greedy_rank(scores: np.ndarray, tie_rank: np.ndarray) -> np.ndarray:
+    """The reference greedy's visit rank of every arena pair.
+
+    Sorting the arena by ``(-score, repr-rank)`` orders the entries of
+    *every* matching problem at once.  Pairs with score <= 0, which the
+    reference greedy never visits, get the sentinel ``len(scores)``.
+    """
+    order = np.lexsort((tie_rank, -scores))
+    num_positive = int(np.count_nonzero(scores > 0.0))
+    rank = np.full(len(scores), len(scores), dtype=np.int64)
+    rank[order[:num_positive]] = np.arange(num_positive, dtype=np.int64)
+    return rank
+
+
+def greedy_matching_sums(
+    structure: MatchStructure, rank: np.ndarray, scores: np.ndarray,
+    upd: np.ndarray,
+) -> Tuple[np.ndarray, int, int]:
+    """Greedy max-weight matching sums of the problems at ``upd``.
+
+    Position-major: one argsort by ``problem * (sentinel + 1) + rank``
+    puts each problem's positive entries first, in visit order.  With
+    problems ordered longest first, the problems that still have an
+    entry at step ``k`` are a prefix; step ``k`` checks the ``k``-th
+    entry of every live problem against the used-slot masks in one
+    vectorized pass and adds the survivors' weights.  A problem leaves
+    once it has ``cap`` matches or runs out of entries.  When fewer than
+    :data:`TAIL_PROBLEMS` remain, each finishes in a sequential loop.
+    Every sum accumulates in its problem's visit order, so the result is
+    bitwise the reference's.
+
+    Returns ``(totals, steps, tail_problems)``.
+    """
+    num = len(upd)
+    totals = np.zeros(num, dtype=np.float64)
+    if num == 0 or structure.ent_arena.size == 0:
+        return totals, 0, 0
+    sentinel = len(rank)
+    if num == len(structure.ent_count):  # full sweep
+        counts = structure.ent_count
+        caps = structure.cap
+        entries = None
+        ent_rank = rank[structure.ent_arena]
+    else:
+        counts = structure.ent_count[upd]
+        caps = structure.cap[upd]
+        entries = ragged_indices(structure.ent_start[upd], counts)
+        ent_rank = rank[structure.ent_arena[entries]]
+    # Sort: each problem's positive entries first, in visit order.
+    starts = np.cumsum(counts) - counts
+    seen = np.zeros(ent_rank.size + 1, dtype=np.int64)
+    np.cumsum(ent_rank < sentinel, out=seen[1:])
+    positive = seen[starts + counts] - seen[starts]
+    del seen
+    key = np.repeat(np.arange(num, dtype=np.int64) * (sentinel + 1), counts)
+    key += ent_rank
+    del ent_rank
+    order = np.argsort(key)
+    del key
+    if entries is not None:
+        order = entries[order]
+        del entries
+    # Order problems longest first: the live ones are always a prefix.
+    live = np.argsort(-positive, kind="stable")[:np.count_nonzero(positive)]
+    length = positive[live]
+    pos = starts[live]
+    left = caps[live]
+    lslot, rslot, arena = (
+        structure.ent_lslot, structure.ent_rslot, structure.ent_arena
+    )
+    lused = np.zeros(structure.num_lslots, dtype=bool)
+    rused = np.zeros(structure.num_rslots, dtype=bool)
+    # Steps: the k-th entry of every live problem at once; no two share
+    # a slot, so the stamps of one step never conflict.
+    step = 0
+    while live.size >= TAIL_PROBLEMS:
+        ent = order[pos]
+        lefts = lslot[ent]
+        rights = rslot[ent]
+        won = np.flatnonzero(~(lused[lefts] | rused[rights]))
+        step += 1
+        pos += 1
+        keep = None
+        if won.size:
+            lused[lefts[won]] = True
+            rused[rights[won]] = True
+            totals[live[won]] += scores[arena[ent[won]]]
+            left[won] -= 1
+            saturated = won[left[won] == 0]
+            if saturated.size:
+                keep = length > step
+                keep[saturated] = False
+        if keep is None and length[-1] <= step:
+            keep = length > step
+        if keep is not None:
+            live, length, pos, left = (
+                live[keep], length[keep], pos[keep], left[keep]
+            )
+    # Tail: the few problems left finish one entry at a time.  Their
+    # slots are their own, so per-problem sets replace the masks.
+    for p, start, end, n in zip(
+        live.tolist(), pos.tolist(), (pos + length - step).tolist(),
+        left.tolist(),
+    ):
+        ent = order[start:end]
+        lefts = lslot[ent]
+        rights = rslot[ent]
+        free = np.flatnonzero(~(lused[lefts] | rused[rights]))
+        taken_l: set = set()
+        taken_r: set = set()
+        total = float(totals[p])
+        for a, b, w in zip(
+            lefts[free].tolist(), rights[free].tolist(),
+            scores[arena[ent[free]]].tolist(),
+        ):
+            if a in taken_l or b in taken_r:
+                continue
+            taken_l.add(a)
+            taken_r.add(b)
+            total += w
+            n -= 1
+            if n == 0:
+                break
+        totals[p] = total
+    return totals, step, int(live.size)
+
 
 class VectorizedFSimEngine:
     """Array-program evaluator for one compiled FSim instance."""
@@ -55,18 +194,9 @@ class VectorizedFSimEngine:
                  dirty_tolerance: float = DEFAULT_DIRTY_TOLERANCE):
         self.compiled = compiled
         self.dirty_tolerance = float(dirty_tolerance)
-        self._stamp = 0
-        self._stamps = {}
         #: Per-sweep cache of the arena greedy rank (both directions of a
         #: sweep read the same pre-sweep scores).
         self._rank_cache = None
-        for term in (compiled.out_term, compiled.in_term):
-            if term is not None and term.family == "match":
-                structure = term.structures[0]
-                self._stamps[id(structure)] = (
-                    np.zeros(structure.num_lslots, dtype=np.int64),
-                    np.zeros(structure.num_rslots, dtype=np.int64),
-                )
 
     # ------------------------------------------------------------------
     # one synchronous sweep over the dirty pairs
@@ -158,170 +288,15 @@ class VectorizedFSimEngine:
             maxima = np.empty(0, dtype=np.float64)
         return segment_sum(maxima, grp_counts)
 
-    def _arena_greedy_order(self, scores):
-        """The reference greedy's global visit order over arena pairs.
-
-        An entry's weight and repr tie-break are functions of its arena
-        pair alone, so sorting the (much smaller) arena by
-        ``(-score, repr-rank)`` once per sweep totally orders the entries
-        of *every* matching problem.  Returns ``(order, rank)`` where
-        ``order`` lists the positive-score pair-ids in visit order and
-        ``rank`` maps pair-id -> position (sentinel ``num_feasible`` for
-        weight <= 0, which the reference greedy never visits).
-        """
-        if self._rank_cache is not None:
-            return self._rank_cache
-        compiled = self.compiled
-        order = np.lexsort((compiled.tie_rank, -scores))
-        num_positive = int(np.count_nonzero(scores > 0.0))
-        positive_order = order[:num_positive]
-        rank = np.full(
-            compiled.num_feasible, compiled.num_feasible, dtype=np.int64
-        )
-        rank[positive_order] = np.arange(num_positive, dtype=np.int64)
-        self._rank_cache = (positive_order, rank)
-        return self._rank_cache
-
     def _match_totals(self, scores, upd, term: DirectionTerm) -> np.ndarray:
-        """Greedy max-weight matching sums, processed as rank rounds.
-
-        Arena pairs are visited in exact reference order; all entries of
-        one arena pair are conflict-free (at most one occurrence per
-        problem, globally disjoint slots), so each round runs vectorized:
-        mask already-stamped slots, stamp the survivors, log their
-        problems.  A problem leaves the active set once its matching
-        saturates the |M_chi| cap.  The final per-problem sums are one
-        ``bincount`` over the logged (problem, weight) pairs, which
-        accumulates in visit order -- bit-identical to the reference's
-        matched-weight summation.
-        """
+        if self._rank_cache is None:
+            self._rank_cache = greedy_rank(scores, self.compiled.tie_rank)
         (structure,) = term.structures
-        compiled = self.compiled
-        num_updatable = compiled.num_updatable
-        if structure.ba_prob.size == 0 or upd.size == 0:
-            return np.zeros(len(upd), dtype=np.float64)
-        visit_order, rank = self._arena_greedy_order(scores)
-        if structure.ba_prob.size <= self._FLAT_LIMIT:
-            return self._match_totals_flat(scores, upd, structure, rank)
-        full = upd.size == num_updatable
-        if full:
-            rounds = visit_order
-            active = np.ones(num_updatable, dtype=bool)
-            active_count = num_updatable
-        else:
-            counts = structure.ent_count[upd]
-            sub = ragged_indices(structure.ent_start[upd], counts)
-            pair_ids = np.unique(structure.ent_arena[sub])
-            pair_ranks = rank[pair_ids]
-            keep = pair_ranks < compiled.num_feasible
-            pair_ids = pair_ids[keep]
-            rounds = pair_ids[np.argsort(pair_ranks[keep])]
-            active = np.zeros(num_updatable, dtype=bool)
-            active[upd] = True
-            active_count = int(upd.size)
-        lstamp, rstamp = self._stamps[id(structure)]
-        self._stamp += 1
-        stamp = self._stamp
-        matched_counts = np.zeros(num_updatable, dtype=np.int64)
-        caps = structure.cap
-        prob_all = structure.ba_prob
-        l_all = structure.ba_lslot
-        r_all = structure.ba_rslot
-        starts = structure.ba_indptr[rounds].tolist()
-        ends = structure.ba_indptr[rounds + 1].tolist()
-        weights = scores[rounds].tolist()
-        parts_p = []
-        parts_w = []
-        for i in range(len(starts)):
-            if active_count == 0:
-                break
-            start = starts[i]
-            end = ends[i]
-            if start == end:
-                continue
-            probs = prob_all[start:end]
-            lslots = l_all[start:end]
-            rslots = r_all[start:end]
-            free = (
-                active[probs]
-                & (lstamp[lslots] != stamp)
-                & (rstamp[rslots] != stamp)
-            )
-            if not free.any():
-                continue
-            chosen = probs[free]
-            lstamp[lslots[free]] = stamp
-            rstamp[rslots[free]] = stamp
-            parts_p.append(chosen)
-            parts_w.append(np.full(chosen.size, weights[i]))
-            new_counts = matched_counts[chosen] + 1
-            matched_counts[chosen] = new_counts
-            saturated = chosen[new_counts == caps[chosen]]
-            if saturated.size:
-                active[saturated] = False
-                active_count -= int(saturated.size)
-        if parts_p:
-            totals = np.bincount(
-                np.concatenate(parts_p),
-                weights=np.concatenate(parts_w),
-                minlength=num_updatable,
-            )
-        else:
-            totals = np.zeros(num_updatable, dtype=np.float64)
-        return totals if full else totals[upd]
-
-    #: Below this many entries the per-round numpy dispatch overhead
-    #: dominates; a flat sorted pass in plain Python wins.
-    _FLAT_LIMIT = 1 << 17
-
-    def _match_totals_flat(self, scores, upd, structure, rank) -> np.ndarray:
-        """Small-problem variant of :meth:`_match_totals`: materialize the
-        positive entries sorted by ``(problem, rank)`` and run the greedy
-        as one tight Python loop with cap early-breaks."""
-        compiled = self.compiled
-        num_updatable = compiled.num_updatable
-        sentinel = compiled.num_feasible
-        lengths = np.diff(structure.ba_indptr)
-        ent_rank = np.repeat(rank, lengths)
-        keep = ent_rank < sentinel
-        if upd.size != num_updatable:
-            active = np.zeros(num_updatable, dtype=bool)
-            active[upd] = True
-            keep &= active[structure.ba_prob]
-        totals_global = [0.0] * num_updatable
-        if keep.any():
-            probs = structure.ba_prob[keep].astype(np.int64)
-            order = np.argsort(probs * (sentinel + 1) + ent_rank[keep])
-            probs_sorted = probs[order].tolist()
-            lefts = structure.ba_lslot[keep][order].tolist()
-            rights = structure.ba_rslot[keep][order].tolist()
-            weights = np.repeat(scores, lengths)[keep][order].tolist()
-            caps = structure.cap.tolist()
-            lstamp = [0] * structure.num_lslots
-            rstamp = [0] * structure.num_rslots
-            previous = -1
-            matched = 0
-            cap = 0
-            for k in range(len(probs_sorted)):
-                p = probs_sorted[k]
-                if p != previous:
-                    previous = p
-                    matched = 0
-                    cap = caps[p]
-                elif matched >= cap:
-                    continue
-                left = lefts[k]
-                if lstamp[left]:
-                    continue
-                right = rights[k]
-                if rstamp[right]:
-                    continue
-                lstamp[left] = 1
-                rstamp[right] = 1
-                totals_global[p] += weights[k]
-                matched += 1
-        totals = np.asarray(totals_global, dtype=np.float64)
-        return totals if upd.size == num_updatable else totals[upd]
+        totals, steps, tail = greedy_matching_sums(
+            structure, self._rank_cache, scores, upd
+        )
+        observe_greedy_kernel(steps, tail)
+        return totals
 
     # ------------------------------------------------------------------
     # the fixed-point loop with the dirty-pair scheduler
@@ -363,8 +338,6 @@ class VectorizedFSimEngine:
             upd = np.unique(np.asarray(upd0, dtype=np.int64))
         if trajectory is not None:
             trajectory.append(scores.copy())
-        from repro.obs.profiling import observe_iterations, phase
-
         deltas: List[float] = []
         converged = False
         iterations = 0
@@ -428,8 +401,6 @@ class VectorizedFSimEngine:
         converged, deltas)`` is bitwise identical to a cold
         :meth:`iterate` on the same compiled instance.
         """
-        from repro.obs.profiling import observe_iterations, phase
-
         compiled = self.compiled
         sweep = sweep or self.sweep
         epsilon = compiled.config.epsilon

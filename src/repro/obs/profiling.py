@@ -31,6 +31,8 @@ from repro.obs import metrics, tracing
 
 PHASE_HISTOGRAM = "repro_phase_seconds"
 ITERATIONS_HISTOGRAM = "repro_engine_iterations"
+GREEDY_STEPS_COUNTER = "repro_kernel_greedy_steps_total"
+GREEDY_TAIL_COUNTER = "repro_kernel_tail_problems_total"
 
 
 class PhaseProfile:
@@ -123,6 +125,19 @@ def phase(name: str):
             and not tracing.active_handles():
         return tracing._NULL_TIMER
     return _PhaseTimer(name, profile)
+
+
+def observe_greedy_kernel(steps: int, tail_problems: int) -> None:
+    """Record one direction-sweep of the dp/bj greedy-matching kernel."""
+    if metrics.REGISTRY.enabled:
+        metrics.counter(
+            GREEDY_STEPS_COUNTER,
+            "Vectorized steps of the greedy-matching kernel.",
+        ).inc(steps)
+        metrics.counter(
+            GREEDY_TAIL_COUNTER,
+            "Matching problems the greedy kernel finished sequentially.",
+        ).inc(tail_problems)
 
 
 def observe_iterations(iterations: int, converged: bool) -> None:

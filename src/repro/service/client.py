@@ -90,6 +90,10 @@ def wire_partners(result: dict) -> List[Tuple[Node, float]]:
 
 def _parse_response(line: bytes, request_id) -> dict:
     response = json.loads(line)
+    if response.get("id") is None and not response.get("ok"):
+        # The server could not read the request far enough to learn its
+        # id (e.g. an over-long line); its typed reason is the error.
+        raise ServiceError(response.get("error", "unknown error"))
     if response.get("id") != request_id:
         raise ServiceError(
             f"response id {response.get('id')} does not match "

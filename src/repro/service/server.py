@@ -8,7 +8,9 @@ line ``{"id": ..., "ok": true, "result": {...}}`` or ``{"id": ...,
 connection may be pipelined; responses carry the request ``id`` and can
 arrive out of order (the blocking :class:`~repro.service.client.ServiceClient`
 keeps one request in flight, concurrent clients use one connection
-each).
+each).  A line longer than :data:`MAX_REQUEST_LINE` is answered with
+``{"id": null, "ok": false, "error": ...}`` and skipped; the
+connection stays open.
 
 Query/mutation ops (``fsim``, ``topk``, ``matrix``, ``mutate``) go
 through the :class:`~repro.service.scheduler.MicroBatchScheduler`;
@@ -90,6 +92,44 @@ def topk_result_to_wire(result: TopKResult) -> dict:
         "iterations": result.iterations,
         "certified": result.certified,
     }
+
+
+#: Longest request line the server reads (large inline graphs fit).  A
+#: longer line is answered with a typed error, counted under
+#: ``op="oversized"``, and skipped up to its newline.
+MAX_REQUEST_LINE = 1 << 22
+OVERSIZED_OP = "oversized"
+
+
+def _count_request(op: str, ok: bool) -> None:
+    metrics.counter(
+        "repro_requests_total", "Requests received, by op.", op=op
+    ).inc()
+    if not ok:
+        metrics.counter(
+            "repro_request_errors_total",
+            "Requests answered ok=false, by op "
+            "(availability SLO numerator).", op=op,
+        ).inc()
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> bool:
+    """Drop the rest of the current line through its newline; ``False``
+    when the stream ends first.  Buffered bytes go in small reads, so
+    skipping a line never copies it whole."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            remaining = exc.consumed
+            while remaining:
+                chunk = await reader.read(min(remaining, 1 << 16))
+                if not chunk:
+                    return False
+                remaining -= len(chunk)
+        except asyncio.IncompleteReadError:
+            return False
 
 
 class FSimServer:
@@ -207,7 +247,7 @@ class FSimServer:
         self._stopped_event = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            limit=1 << 22,  # 4 MiB request lines (large inline graphs)
+            limit=MAX_REQUEST_LINE,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.store.wal is not None:
@@ -299,11 +339,14 @@ class FSimServer:
             self._slo_task = None
         if self._tail_task is not None:
             self.tail.stop()
-            self._tail_task.cancel()
-            try:
-                await self._tail_task
-            except (asyncio.CancelledError, Exception):
-                pass
+            # Python 3.11's wait_for can drop a cancel that lands just as
+            # its read completes; cancel until the task has really ended.
+            task = self._tail_task
+            while not task.done():
+                task.cancel()
+                await asyncio.wait({task}, timeout=0.1)
+            if not task.cancelled():
+                task.exception()  # retrieved, so never logged as lost
             self._tail_task = None
         for task in list(self._replication_streams):
             task.cancel()
@@ -367,7 +410,15 @@ class FSimServer:
         tasks: List[asyncio.Task] = []
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF; a last unterminated line
+                except asyncio.LimitOverrunError:
+                    await self._reject_oversized(writer, write_lock)
+                    if not await _discard_line(reader):
+                        break
+                    continue
                 if not line:
                     break
                 task = asyncio.ensure_future(
@@ -375,7 +426,7 @@ class FSimServer:
                 )
                 tasks.append(task)
                 tasks = [t for t in tasks if not t.done()]
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except ConnectionResetError:
             pass
         except asyncio.CancelledError:
             pass  # server shutdown with the connection still open
@@ -394,6 +445,17 @@ class FSimServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+    async def _reject_oversized(self, writer: asyncio.StreamWriter,
+                                write_lock: asyncio.Lock) -> None:
+        """Answer a request line over :data:`MAX_REQUEST_LINE` with a
+        typed error; the caller discards the line and keeps serving."""
+        if metrics.REGISTRY.enabled:
+            _count_request(OVERSIZED_OP, ok=False)
+        await self._send(writer, write_lock, {
+            "id": None, "ok": False,
+            "error": f"request line exceeds {MAX_REQUEST_LINE} bytes",
+        })
 
     async def _respond(self, writer: asyncio.StreamWriter,
                        write_lock: asyncio.Lock, line: bytes) -> None:
@@ -444,27 +506,22 @@ class FSimServer:
             )
         duration = time.perf_counter() - start
         if op is not None and metrics.REGISTRY.enabled:
-            metrics.counter(
-                "repro_requests_total",
-                "Requests received, by op.", op=str(op),
-            ).inc()
+            _count_request(str(op), bool(response.get("ok")))
             metrics.histogram(
                 "repro_request_seconds",
                 "Server-side request latency (parse to response built).",
                 op=str(op),
             ).observe(duration)
-            if not response.get("ok"):
-                metrics.counter(
-                    "repro_request_errors_total",
-                    "Requests answered ok=false, by op "
-                    "(availability SLO numerator).", op=str(op),
-                ).inc()
         if trace is not None:
             trace.add_span("server.dispatch", start_wall, duration,
                            op=str(op))
             self.recorder.finish(
                 trace, "ok" if response.get("ok") else "error"
             )
+        await self._send(writer, write_lock, response)
+
+    async def _send(self, writer: asyncio.StreamWriter,
+                    write_lock: asyncio.Lock, response: dict) -> None:
         payload = json.dumps(response, separators=(",", ":")).encode()
         try:
             async with write_lock:

@@ -186,7 +186,7 @@ def _splice_match(compiled: CompiledFSim, term, csr1, csr2,
         return compiled._match_entries(csr1, csr2)
     lbase = old.num_lslots + np.cumsum(d1) - d1
     rbase = old.num_rslots + np.cumsum(d2) - d2
-    _, ent_lslot, ent_rslot, ent_arena, ent_count = compiled._match_raw(
+    ent_lslot, ent_rslot, ent_arena, ent_count = compiled._match_raw(
         csr1, csr2, us, vs, lbase, rbase
     )
     counts, (arena, lslot, rslot) = _splice_segments(
@@ -201,12 +201,8 @@ def _splice_match(compiled: CompiledFSim, term, csr1, csr2,
     cap[rows] = compiled._mapping_sizes(
         cfg.variant, csr1, csr2, us.astype(np.int64), vs.astype(np.int64)
     ).astype(np.int64)
-    ent_pair = np.repeat(
-        np.arange(compiled.num_updatable, dtype=np.int64), counts
-    )
     return MatchStructure(
-        arena, lslot, rslot, ent_pair, counts, cap,
-        num_lslots, num_rslots, compiled.num_feasible,
+        arena, lslot, rslot, counts, cap, num_lslots, num_rslots
     )
 
 

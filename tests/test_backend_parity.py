@@ -1,14 +1,16 @@
 """Backend parity: the vectorized numpy engine vs the reference engine.
 
-The acceptance bar for the compiled backend is scores within 1e-9 of the
-dict-based reference across every variant, pruning configuration, pinned
-pairs and self-similarity -- in practice the backends agree bitwise,
-because the compiler replicates the reference's iteration order, greedy
-tie-breaking (repr rank) and clamping arithmetic (see docs/PERF.md).
+The compiled backend must reproduce the dict-based reference *bit for
+bit* across every variant, pruning configuration, pinned pairs and
+self-similarity: the compiler replicates the reference's iteration
+order, greedy tie-breaking (repr rank) and clamping arithmetic (see
+docs/PERF.md), so scores and per-iteration deltas are compared as
+IEEE-754 bit patterns, not within a tolerance.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,10 +22,12 @@ from repro.simulation import Variant
 
 ALL_VARIANTS = [Variant.S, Variant.DP, Variant.B, Variant.BJ]
 
-TOLERANCE = 1e-9
+def bits(values):
+    """IEEE-754 bit patterns: equal only for identical floats."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def assert_parity(graph1, graph2, config, tolerance=TOLERANCE):
+def assert_parity(graph1, graph2, config):
     reference = FSimEngine(
         graph1, graph2, config.with_options(backend="python")
     ).run()
@@ -31,12 +35,14 @@ def assert_parity(graph1, graph2, config, tolerance=TOLERANCE):
         graph1, graph2, config.with_options(backend="numpy")
     ).run()
     assert reference.scores.keys() == vectorized.scores.keys()
-    for pair, value in reference.scores.items():
-        assert abs(vectorized.scores[pair] - value) <= tolerance, pair
+    pairs = list(reference.scores)
+    assert bits([vectorized.scores[p] for p in pairs]) == bits(
+        [reference.scores[p] for p in pairs]
+    )
     assert vectorized.iterations == reference.iterations
     assert vectorized.converged == reference.converged
     assert vectorized.num_candidates == reference.num_candidates
-    assert vectorized.deltas == pytest.approx(reference.deltas, abs=tolerance)
+    assert bits(vectorized.deltas) == bits(reference.deltas)
     return reference, vectorized
 
 
@@ -100,8 +106,8 @@ class TestPruningParity:
         # The alpha-fallback must answer pruned pairs identically too.
         for u in g1.nodes():
             for v in g2.nodes():
-                assert vectorized.score(u, v) == pytest.approx(
-                    reference.score(u, v), abs=TOLERANCE
+                assert bits([vectorized.score(u, v)]) == bits(
+                    [reference.score(u, v)]
                 )
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -9,14 +9,18 @@ baselines rebuild graphs through the same construction sequence (never
 the last ulp).
 """
 
+import json
 import random
+import socket
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FSimConfig, fsim_matrix
+from repro.core.compile import MatchStructure
 from repro.core.plan import clear_plan_caches, plan_cache_stats
 from repro.core.topk import TopKSearch
 from repro.exceptions import (
@@ -26,8 +30,10 @@ from repro.exceptions import (
 )
 from repro.graph.digraph import LabeledDigraph
 from repro.graph.generators import random_graph, uniform_labels
+from repro.obs import metrics
 from repro.service import GraphStore, ServerThread, ServiceClient
 from repro.service.client import wire_partners, wire_scores
+from repro.service.server import MAX_REQUEST_LINE, OVERSIZED_OP
 from repro.service.snapshot import (
     graph_fingerprint,
     restore_snapshot,
@@ -226,6 +232,35 @@ class TestServer:
                 stats = client.stats()
                 assert stats["server"]["requests_served"] >= 1
 
+    def test_oversized_line_gets_typed_error_and_connection_survives(self):
+        def oversized_count():
+            child = metrics.REGISTRY.get("repro_requests_total",
+                                         op=OVERSIZED_OP)
+            return child.value if child is not None else 0.0
+
+        pad = b"x" * (MAX_REQUEST_LINE + 64)
+        before = oversized_count()
+        with ServerThread(GraphStore()) as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10.0) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(b'{"id":1,"op":"ping","pad":"' + pad + b'"}\n')
+                sock.sendall(b'{"id":2,"op":"ping"}\n')
+                rejected = json.loads(reader.readline())
+                pong = json.loads(reader.readline())
+        assert rejected["ok"] is False
+        assert "exceeds" in rejected["error"]
+        assert pong == {"id": 2, "ok": True, "result": {"pong": True}}
+        if metrics.enabled():
+            assert oversized_count() == before + 1
+
+    def test_library_client_surfaces_the_oversized_reason(self):
+        with ServerThread(GraphStore()) as server:
+            with ServiceClient(port=server.port, timeout=10.0) as client:
+                with pytest.raises(ServiceError, match="exceeds"):
+                    client.request("ping", pad="x" * MAX_REQUEST_LINE)
+                assert client.ping() == {"pong": True}
+
     def test_register_inline_and_query(self):
         with ServerThread(GraphStore()) as server:
             with ServiceClient(port=server.port) as client:
@@ -401,6 +436,39 @@ class TestSnapshots:
         direct = fsim_matrix(replica, replica, config=fresh.default_config)
         assert result.scores == direct.scores
         assert result.deltas == direct.deltas
+        fresh.close()
+
+    def test_snapshot_with_legacy_match_slots_restores_warm(
+            self, tmp_path, monkeypatch):
+        """Snapshots whose dp/bj match structures still carry the
+        by-arena ``ba_*`` slots of the earlier layout stay readable."""
+        path = tmp_path / "g.snap"
+        config = numpy_config(variant=Variant.DP)
+        store = GraphStore(default_config=config)
+        store.register("g", make_graph())
+        warm = store.fsim("g", "g")
+
+        def legacy_state(structure):
+            slots = {name: getattr(structure, name)
+                     for name in MatchStructure.__slots__}
+            for name in ("ba_indptr", "ba_prob", "ba_lslot", "ba_rslot"):
+                slots[name] = np.zeros(1, dtype=np.int64)
+            return None, slots
+
+        with monkeypatch.context() as patched:
+            patched.setattr(MatchStructure, "__getstate__", legacy_state,
+                            raising=False)
+            save_snapshot(store, "g", path)
+        store.close()
+        assert b"ba_indptr" in path.read_bytes()
+
+        fresh = GraphStore(default_config=config)
+        restore_snapshot(fresh, path, graph=make_graph(), config=config)
+        first = fresh.fsim("g", "g")
+        pair = fresh.pair("g", "g", config)
+        assert pair.session.stats["cold_runs"] == 0
+        assert first.scores == warm.scores
+        assert first.deltas == warm.deltas
         fresh.close()
 
     def test_stale_snapshot_is_rejected(self, tmp_path):
