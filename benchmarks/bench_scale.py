@@ -1,35 +1,23 @@
-"""Memory trajectory of the sharded candidate arena at x100 scale.
+"""Compile time, iterate time and peak RSS of one 10^4-node FSim solve.
 
 The ROADMAP north star asks the reproduction to handle graphs two
 orders of magnitude past the paper's tables.  This benchmark builds a
-synthetic self-similarity workload at that scale -- >= 10^4 nodes and
->= 10^6 candidate pairs under FSimbj with theta = 1 (the Figure-9
-configuration) -- and drives the same fixed point through four arena
-configurations:
+synthetic self-similarity workload at that scale -- 10^4 nodes and
+about 10^6 candidate pairs under FSimbj with theta = 1 (the Figure-9
+configuration) -- and solves it once on the numpy backend, serially,
+with the compiled arena in RAM.
 
-- **unsharded / ram**: the baseline engine, every compiled slab
-  resident in one address space;
-- **unsharded / memmap**: the memory-mapped arena backend alone
-  (slabs on disk, OS pages them on demand);
-- **sharded / ram**: the persistent sharded runtime
-  (:mod:`repro.runtime.sharded`), each worker owning one pair-space
-  partition for the session lifetime;
-- **sharded / memmap**: both -- the intended million-pair deployment
-  shape.
+The solve runs in its **own subprocess**, so its peak RSS (``VmHWM``)
+is the solve's alone, and an out-of-memory kill is recorded as
+``{"oom": true}`` instead of taking the benchmark down.  The run
+records compile seconds, iterate seconds, the iteration count, the
+arena bytes, peak RSS and the SHA-256 of the full score vector: a
+later change that moves any score bit on this workload changes that
+digest.  ``--smoke`` solves a 400-node workload and also asserts its
+scores bitwise equal to the reference python engine's.
 
-Each configuration runs in its **own subprocess** so peak RSS
-(``resource.ru_maxrss``, driver and pool workers separately) is
-attributed per configuration, and an out-of-memory kill is recorded
-honestly as ``{"oom": true}`` instead of taking the benchmark down.
-
-Correctness is never traded for memory: every configuration reports a
-SHA-256 checksum over the full score vector plus a fixed subsample of
-pair scores, and the harness asserts both **bitwise identical** to the
-unsharded reference.  Sharded runs also report the halo traffic
-accounting (per-iteration cross-process bytes are O(boundary pairs),
-not O(arena)).
-
-Writes ``BENCH_scale.json``.  Run standalone:
+Writes ``BENCH_scale.json`` with an environment stamp (nproc, Python,
+numpy, source revision).  Run standalone:
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--smoke]
 """
@@ -44,29 +32,31 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT):  # allow standalone execution
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from fsimbench.common import (  # noqa: E402
+    child_env,
+    environment,
+    same_scores,
+    vm_hwm_mb,
+)
 
 RESULT_PATH = REPO_ROOT / "BENCH_scale.json"
 
-#: Full-scale workload floor (the acceptance bar of the sharding PR).
+#: Full-scale workload (10^4 nodes, ~10^6 candidate pairs).
 FULL_NODES = 10_000
 FULL_LABELS = 100
 FULL_EDGES_PER_NODE = 5
-FULL_SHARDS = 4
-SUBSAMPLE = 512
-
-#: Required headline: sharded+memmap peak RSS below unsharded+ram.
-RSS_GATE = 0.9
 
 CHILD_MARKER = "BENCH_SCALE_CHILD_RESULT "
 
 
 # ----------------------------------------------------------------------
-# child process: one configuration, one fixed point, RSS self-report
+# child process: one solve, RSS self-report
 # ----------------------------------------------------------------------
-def _build_workload(spec: dict):
-    from repro.core.compile import compile_fsim
+def _workload(spec: dict):
     from repro.core.config import FSimConfig
     from repro.graph.generators import random_graph, uniform_labels
     from repro.simulation import Variant
@@ -79,108 +69,70 @@ def _build_workload(spec: dict):
     )
     config = FSimConfig(
         variant=Variant.BJ, label_function="indicator", theta=1.0,
-        backend="numpy", arena_backend=spec["arena_backend"],
-        shards=spec["shards"],
+        backend="numpy",
     )
-    return compile_fsim(graph, graph, config)
+    return graph, config
 
 
 def run_child(spec: dict) -> dict:
-    """Compile and iterate one configuration; return the measurement."""
+    """Compile and iterate the workload; return the measurement."""
     import numpy as np
 
-    from repro.runtime.sharded import (
-        open_sharded_runtime,
-        process_peak_rss_kb,
-    )
+    from repro.core.compile import compile_fsim
+    from repro.core.vectorized import VectorizedFSimEngine
 
+    graph, config = _workload(spec)
     t0 = time.perf_counter()
-    compiled = _build_workload(spec)
+    compiled = compile_fsim(graph, graph, config)
     compile_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scores, iterations, converged, _ = VectorizedFSimEngine(
+        compiled
+    ).iterate()
+    iterate_seconds = time.perf_counter() - t0
     result = {
-        "nodes": spec["nodes"],
-        "edges": spec["edges"],
         "candidate_pairs": int(compiled.num_feasible),
         "updatable_pairs": int(compiled.num_updatable),
-        "arena_bytes": dict(compiled.arena_nbytes()),
+        "arena_bytes": int(sum(compiled.arena_nbytes().values())),
         "compile_seconds": compile_seconds,
+        "iterate_seconds": iterate_seconds,
+        "iterations": int(iterations),
+        "converged": bool(converged),
+        "scores_sha256": hashlib.sha256(
+            np.asarray(scores, dtype=np.float64).tobytes()
+        ).hexdigest(),
+        "peak_rss_mb": vm_hwm_mb(),
     }
-    t0 = time.perf_counter()
-    if spec["shards"] > 1:
-        # Spawn-start workers: each begins from a fresh interpreter, so
-        # its peak RSS measures what a sharded worker actually holds
-        # (its slice), not copy-on-write pages inherited from the
-        # driver's full compile.
-        runtime = open_sharded_runtime(
-            compiled, spec["shards"], min_updatable=1,
-            start_method="spawn",
+    if spec["check_reference"]:
+        from repro.core import fsim_matrix
+
+        reference = fsim_matrix(
+            graph, graph, config=config.with_options(backend="python")
         )
-        if runtime is None:
-            raise SystemExit("sharded runtime unavailable for workload")
-        try:
-            scores, iterations, converged, _ = runtime.iterate()
-            stats = runtime.stats()
-            worker_rss_kb = runtime.worker_peak_rss_kb()
-        finally:
-            runtime.close()
-        result["halo"] = {
-            "pairs": stats["halo_pairs"],
-            "bytes_per_iteration": stats["halo_bytes_per_iteration"],
-            "exchange_bytes": stats["exchange_bytes"],
-            "broadcast_bytes": stats["broadcast_bytes"],
-        }
-    else:
-        from repro.core.vectorized import VectorizedFSimEngine
-
-        scores, iterations, converged, _ = VectorizedFSimEngine(
-            compiled
-        ).iterate()
-        worker_rss_kb = []
-    result["iterate_seconds"] = time.perf_counter() - t0
-    result["iterations"] = int(iterations)
-    result["converged"] = bool(converged)
-
-    scores = np.asarray(scores, dtype=np.float64)
-    rng = np.random.default_rng(spec["seed"])
-    sample_ids = np.sort(rng.choice(
-        len(scores), size=min(SUBSAMPLE, len(scores)), replace=False
-    ))
-    result["scores_sha256"] = hashlib.sha256(scores.tobytes()).hexdigest()
-    result["subsample"] = {
-        "pair_ids": [int(i) for i in sample_ids],
-        # repr round-trips float64 exactly: the parent compares these
-        # for bitwise equality across configurations.
-        "scores": [scores[i].hex() for i in sample_ids],
-    }
-    # Per-process peaks, each self-reported (VmHWM): RUSAGE_CHILDREN
-    # is useless here because Linux folds the pre-exec copy-on-write
-    # image of a fork+exec ("spawn") child into its ru_maxrss.
-    result["peak_rss_mb"] = {
-        "driver": process_peak_rss_kb() / 1024.0,
-        "workers": max(worker_rss_kb, default=0) / 1024.0,
-    }
-    result["peak_rss_mb"]["max"] = max(result["peak_rss_mb"].values())
+        result["reference_bitwise"] = (
+            same_scores(reference.scores, compiled.result_scores(scores))
+            and reference.iterations == iterations
+        )
     return result
 
 
 # ----------------------------------------------------------------------
-# parent: per-configuration subprocesses, parity + RSS comparison
+# parent: the solve in a subprocess, the report
 # ----------------------------------------------------------------------
-def run_config(spec: dict, timeout: float) -> dict:
-    """One configuration in its own interpreter; OOM recorded, not fatal."""
+def run_solve(spec: dict, timeout: float) -> dict:
+    """The solve in its own interpreter; OOM recorded, not fatal."""
     proc = subprocess.run(
         [sys.executable, str(pathlib.Path(__file__).resolve()),
          "--child", json.dumps(spec)],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, env=child_env(),
     )
     for line in proc.stdout.splitlines():
         if line.startswith(CHILD_MARKER):
             return json.loads(line[len(CHILD_MARKER):])
-    # The honest-OOM branch: the kernel's OOM killer delivers SIGKILL
-    # (returncode -9) and MemoryError unwinds with a traceback.
-    oom = proc.returncode == -9 or "MemoryError" in proc.stderr
+    # The kernel's OOM killer delivers SIGKILL (returncode -9);
+    # MemoryError unwinds with a traceback.
     return {
-        "oom": oom,
+        "oom": proc.returncode == -9 or "MemoryError" in proc.stderr,
         "error": f"child exited {proc.returncode}",
         "stderr_tail": proc.stderr.strip().splitlines()[-3:],
     }
@@ -188,120 +140,42 @@ def run_config(spec: dict, timeout: float) -> dict:
 
 def run_benchmark(nodes: int = FULL_NODES, labels: int = FULL_LABELS,
                   edges_per_node: int = FULL_EDGES_PER_NODE,
-                  shards: int = FULL_SHARDS, seed: int = 97,
-                  timeout: float = 3600.0, smoke: bool = False) -> dict:
-    base = {
+                  seed: int = 97, timeout: float = 3600.0,
+                  smoke: bool = False) -> dict:
+    spec = {
         "nodes": nodes,
         "edges": nodes * edges_per_node,
         "labels": labels,
         "seed": seed,
+        "check_reference": smoke,
     }
-    configs = {
-        "unsharded_ram": dict(base, shards=1, arena_backend="ram"),
-        "unsharded_memmap": dict(base, shards=1, arena_backend="memmap"),
-        "sharded_ram": dict(base, shards=shards, arena_backend="ram"),
-        "sharded_memmap": dict(base, shards=shards, arena_backend="memmap"),
-    }
-    runs = {}
-    for name, spec in configs.items():
-        print(f"[bench_scale] running {name} "
-              f"(n={spec['nodes']}, shards={spec['shards']}, "
-              f"backend={spec['arena_backend']}) ...", flush=True)
-        runs[name] = run_config(spec, timeout)
-        rss = runs[name].get("peak_rss_mb", {}).get("max")
-        print(f"[bench_scale]   -> peak RSS "
-              f"{rss:.0f} MB" if rss is not None else
-              f"[bench_scale]   -> {runs[name].get('error')}", flush=True)
-
-    report = {
+    print(f"[bench_scale] solving n={nodes} ...", flush=True)
+    return {
         "benchmark": "bench_scale",
         "smoke": smoke,
-        "workload": dict(base, shards=shards,
-                         variant="BJ", theta=1.0,
-                         label_function="indicator"),
-        "runs": runs,
-        "parity": check_parity(runs),
-        "headline": headline(runs),
+        "environment": environment(),
+        "workload": dict(spec, variant="BJ", theta=1.0,
+                         label_function="indicator", backend="numpy"),
+        "run": run_solve(spec, timeout),
     }
-    return report
-
-
-def check_parity(runs: dict) -> dict:
-    """Every completed run must match the unsharded reference bitwise."""
-    reference = runs.get("unsharded_ram", {})
-    out = {"reference": "unsharded_ram", "compared": [], "bitwise": True}
-    if "scores_sha256" not in reference:
-        out["bitwise"] = None  # reference itself OOMed: nothing to compare
-        return out
-    for name, run in runs.items():
-        if name == "unsharded_ram" or "scores_sha256" not in run:
-            continue
-        same = (
-            run["scores_sha256"] == reference["scores_sha256"]
-            and run["subsample"] == reference["subsample"]
-            and run["iterations"] == reference["iterations"]
-        )
-        out["compared"].append({"config": name, "bitwise": same})
-        out["bitwise"] = out["bitwise"] and same
-    return out
-
-
-def headline(runs: dict) -> dict:
-    """The number the PR exists for: sharded+memmap RSS vs unsharded."""
-    baseline = runs.get("unsharded_ram", {})
-    contender = runs.get("sharded_memmap", {})
-    out = {}
-    if baseline.get("oom"):
-        out["unsharded_oom"] = True
-    base_rss = baseline.get("peak_rss_mb", {}).get("max")
-    cont_rss = contender.get("peak_rss_mb", {}).get("max")
-    if base_rss and cont_rss:
-        out["unsharded_ram_rss_mb"] = base_rss
-        out["sharded_memmap_rss_mb"] = cont_rss
-        out["rss_ratio"] = cont_rss / base_rss
-    halo = contender.get("halo")
-    if halo and contender.get("arena_bytes"):
-        arena = sum(contender["arena_bytes"].values())
-        out["halo_bytes_per_iteration"] = halo["bytes_per_iteration"]
-        out["arena_bytes"] = arena
-        out["halo_fraction_of_arena"] = (
-            halo["bytes_per_iteration"] / arena if arena else None
-        )
-    return out
 
 
 def render(report: dict) -> str:
-    lines = ["# bench_scale: sharded candidate arena at x100 scale", ""]
-    for name, run in report["runs"].items():
-        if "peak_rss_mb" in run:
-            lines.append(
-                f"{name:18s} peak RSS {run['peak_rss_mb']['max']:8.0f} MB  "
-                f"(driver {run['peak_rss_mb']['driver']:.0f}, "
-                f"workers {run['peak_rss_mb']['workers']:.0f})  "
-                f"{run['iterations']} iters, "
-                f"{run['candidate_pairs']} pairs, "
-                f"compile {run['compile_seconds']:.1f}s, "
-                f"iterate {run['iterate_seconds']:.1f}s"
-            )
-        else:
-            lines.append(f"{name:18s} {'OOM' if run.get('oom') else 'FAILED'}"
-                         f" ({run.get('error')})")
-    lines.append("")
-    parity = report["parity"]
-    lines.append(f"parity vs {parity['reference']}: "
-                 f"{'bitwise identical' if parity['bitwise'] else parity}")
-    head = report["headline"]
-    if "rss_ratio" in head:
-        lines.append(
-            f"headline: sharded+memmap RSS = {head['rss_ratio']:.2f}x "
-            f"unsharded+ram"
-        )
-    if "halo_fraction_of_arena" in head and head["halo_fraction_of_arena"]:
-        lines.append(
-            f"halo traffic/iteration = {head['halo_bytes_per_iteration']} "
-            f"bytes = {head['halo_fraction_of_arena']:.4f} of the arena"
-        )
-    return "\n".join(lines)
+    run = report["run"]
+    if "peak_rss_mb" not in run:
+        return (f"# bench_scale: {'OOM' if run.get('oom') else 'FAILED'} "
+                f"({run.get('error')})")
+    line = (
+        f"# bench_scale: n={report['workload']['nodes']}, "
+        f"{run['candidate_pairs']} pairs, {run['iterations']} iters, "
+        f"compile {run['compile_seconds']:.2f}s, "
+        f"iterate {run['iterate_seconds']:.2f}s, "
+        f"peak RSS {run['peak_rss_mb']:.0f} MB, "
+        f"scores sha256 {run['scores_sha256'][:16]}"
+    )
+    if "reference_bitwise" in run:
+        line += f", reference bitwise={run['reference_bitwise']}"
+    return line
 
 
 def write_report(report: dict, path=RESULT_PATH) -> None:
@@ -315,19 +189,15 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload (CI): same four configurations "
-                             "and parity assertions, no RSS gate")
+                        help="400-node workload (CI), scores asserted "
+                             "bitwise against the reference engine")
     parser.add_argument("--child", metavar="SPEC",
-                        help="internal: run one configuration and print "
-                             "its measurement")
+                        help="internal: run the solve and print its "
+                             "measurement")
     parser.add_argument("--nodes", type=int, default=FULL_NODES)
     parser.add_argument("--labels", type=int, default=FULL_LABELS)
     parser.add_argument("--edges-per-node", type=int,
                         default=FULL_EDGES_PER_NODE)
-    parser.add_argument("--shards", type=int, default=FULL_SHARDS)
-    parser.add_argument("--no-gate", action="store_true",
-                        help="record RSS and assert parity, but never fail "
-                             "on the memory ratio (shared CI runners)")
     args = parser.parse_args(argv)
 
     if args.child:
@@ -337,28 +207,18 @@ def main(argv=None) -> int:
 
     if args.smoke:
         report = run_benchmark(nodes=400, labels=8, edges_per_node=4,
-                               shards=2, timeout=600.0, smoke=True)
+                               timeout=600.0, smoke=True)
     else:
         report = run_benchmark(nodes=args.nodes, labels=args.labels,
-                               edges_per_node=args.edges_per_node,
-                               shards=args.shards)
+                               edges_per_node=args.edges_per_node)
     print(render(report))
     write_report(report)
     print(f"wrote {RESULT_PATH}")
-
-    if report["parity"]["bitwise"] is False:
-        print("FAIL: a configuration diverged from the unsharded reference")
+    run = report["run"]
+    if "scores_sha256" not in run:
         return 1
-    if args.smoke or args.no_gate:
-        return 0
-    head = report["headline"]
-    if head.get("unsharded_oom"):
-        print("unsharded baseline OOMed; sharded runs carry the workload")
-        return 0
-    ratio = head.get("rss_ratio")
-    if ratio is None or ratio > RSS_GATE:
-        print(f"FAIL: sharded+memmap RSS ratio {ratio} above gate "
-              f"{RSS_GATE}")
+    if run.get("reference_bitwise") is False:
+        print("FAIL: scores diverged from the reference engine")
         return 1
     return 0
 

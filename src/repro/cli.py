@@ -63,7 +63,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.config import ARENA_BACKENDS, EXECUTOR_KINDS
+from repro.core.config import EXECUTOR_KINDS
 from repro.simulation.base import Variant
 
 
@@ -89,9 +89,6 @@ def _cmd_fsim(args) -> int:
         workers=args.workers,
         executor=args.executor,
         backend=args.backend,
-        **({"shards": args.shards} if args.shards else {}),
-        **({"arena_backend": args.arena_backend}
-           if args.arena_backend else {}),
     )
     print(
         f"# FSim{args.variant}: {graph1.num_nodes}x{graph2.num_nodes} nodes, "
@@ -119,7 +116,6 @@ def _cmd_topk(args) -> int:
     )
     results = TopKSearch(graph1, graph2, config).search_many(
         args.query, args.k, workers=args.workers, executor=args.executor,
-        shards=args.shards,
     )
     for result in results:
         status = "certified" if result.certified else "best-effort"
@@ -155,7 +151,7 @@ def _cmd_stream(args) -> int:
         script = parse_edit_script(handle)
     session = IncrementalFSim(
         graph1, graph2, config, mode=args.mode,
-        workers=args.workers, executor=args.executor, shards=args.shards,
+        workers=args.workers, executor=args.executor,
     )
     start = time.perf_counter()
     result = session.compute()
@@ -235,7 +231,6 @@ def _cmd_serve(args) -> int:
         default_config=config,
         workers=args.workers,
         executor=args.executor,
-        shards=args.shards,
     )
     if args.wal_dir:
         from repro.service import recover_store
@@ -749,14 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel runtime (auto = shared-memory executor for sweeps)",
     )
     fsim.add_argument(
-        "--shards", type=int, default=None,
-        help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
-    )
-    fsim.add_argument(
-        "--arena-backend", choices=list(ARENA_BACKENDS), default=None,
-        help="compiled-arena storage: ram (default) or memmap (file-backed slabs for arenas larger than RAM)",
-    )
-    fsim.add_argument(
         "--backend", choices=["auto", "python", "numpy"], default="auto",
         help="compute backend (auto = vectorized engine when expressible)",
     )
@@ -789,10 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(EXECUTOR_KINDS), default=None,
         help="parallel runtime (auto = shared-memory executor for sweeps)",
     )
-    topk.add_argument(
-        "--shards", type=int, default=None,
-        help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
-    )
     topk.set_defaults(handler=_cmd_topk)
 
     stream = commands.add_parser(
@@ -824,10 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=list(EXECUTOR_KINDS), default=None,
         help="parallel runtime (auto = shared-memory executor for sweeps)",
-    )
-    stream.add_argument(
-        "--shards", type=int, default=None,
-        help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
     )
     stream.add_argument("--top", type=int, default=10, help="pairs to print")
     stream.set_defaults(handler=_cmd_stream)
@@ -872,10 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--executor", choices=list(EXECUTOR_KINDS), default=None,
         help="parallel runtime for the resident sessions",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None,
-        help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
     )
     serve.add_argument(
         "--snapshot-dir", default=None,

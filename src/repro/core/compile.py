@@ -34,11 +34,6 @@ see ``tie_rank`` and docs/PERF.md for the tie-breaking contract.
 
 from __future__ import annotations
 
-import copy
-import os
-import shutil
-import tempfile
-import weakref
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -231,55 +226,6 @@ class DirectionTerm:
         self.denom = denom
         #: "sb": (forward, backward-or-None); "match"/"cross": (structure,)
         self.structures = structures
-
-
-def _file_backed(array) -> bool:
-    """True for arrays that live on a memmap file (an unpickled memmap
-    loses its file and arrives as plain in-memory data)."""
-    return (
-        isinstance(array, np.memmap)
-        and getattr(array, "filename", None) is not None
-    )
-
-
-class _SlabStore:
-    """Directory of memory-mapped slab files backing one compiled instance.
-
-    Files live under ``$REPRO_ARENA_DIR`` (default: the system temp
-    directory) and are removed when the owning compiled instance is
-    garbage collected.
-    """
-
-    def __init__(self):
-        root = os.environ.get("REPRO_ARENA_DIR") or tempfile.gettempdir()
-        os.makedirs(root, exist_ok=True)
-        self.path = tempfile.mkdtemp(prefix="repro-arena-", dir=root)
-        self._counter = 0
-        self._finalizer = weakref.finalize(
-            self, shutil.rmtree, self.path, True
-        )
-
-    def __getstate__(self):
-        # A store names files on *this* machine owned by *this* process.
-        # Shipping it to a worker (sharded slices pickle the compiled
-        # instance wholesale) would have every unpickler share one
-        # directory and one file counter, so concurrent workers truncate
-        # each other's live mappings (SIGBUS on the next page fault).
-        # An unpickled store is therefore a fresh, empty one.
-        return {}
-
-    def __setstate__(self, state):
-        self.__init__()
-
-    def materialize(self, array: np.ndarray) -> np.ndarray:
-        """Spill one array to a memmap file (same dtype/shape/content)."""
-        if array.size == 0 or _file_backed(array):
-            return array
-        self._counter += 1
-        path = os.path.join(self.path, f"slab-{self._counter}.bin")
-        data = np.ascontiguousarray(array)
-        data.tofile(path)
-        return np.memmap(path, dtype=data.dtype, mode="r+", shape=data.shape)
 
 
 #: CSR lowering now lives in :mod:`repro.core.plan`; the alias keeps the
@@ -694,27 +640,16 @@ class CompiledFSim:
         else:
             family = "sb"
         self.family = family
-        if family == "match" and getattr(self, "tie_rank", None) is None:
-            # Arena-level and immutable under edge patches, so row-subset
-            # clones (build_row_subset) reuse the parent's ranks verbatim.
+        if family == "match":
             self.tie_rank = self._tie_ranks()
-        # Spilling each direction as soon as it is built (memmap
-        # backend) keeps at most one direction's slabs in RAM during
-        # compilation, so the compile-time high-water mark is roughly
-        # half the all-in-RAM peak.
-        spill = cfg.arena_backend == "memmap"
         self.out_term = (
             self._build_direction(self.out1, self.out2, family, variant)
             if cfg.w_out > 0.0 else None
         )
-        if spill and self.out_term is not None:
-            self._spill_term(self.out_term)
         self.in_term = (
             self._build_direction(self.in1, self.in2, family, variant)
             if cfg.w_in > 0.0 else None
         )
-        if spill and self.in_term is not None:
-            self._spill_term(self.in_term)
 
     def _tie_ranks(self) -> np.ndarray:
         """Rank of ``repr((u, v))`` per arena pair.
@@ -1045,37 +980,7 @@ class CompiledFSim:
         return out
 
     # ------------------------------------------------------------------
-    # row-subset views (sharded runtime)
-    # ------------------------------------------------------------------
-    def build_row_subset(self, positions: np.ndarray) -> "CompiledFSim":
-        """A compiled instance updating only the given ``upd_arena`` rows.
-
-        ``positions`` indexes ``upd_arena`` (the partitioner's shard
-        slices, :mod:`repro.core.partition`).  The clone shares the
-        immutable arena-level arrays with its parent but owns subset
-        entry lists, slot layouts and a dependency CSR covering just its
-        rows, so a sharded worker's dominant resident state is O(shard
-        entries), not O(arena entries).  Global arena pair-ids remain
-        the coordinate system: a full-size score vector drives the
-        clone's sweeps and its updates land at the same arena ids the
-        parent would write, which is what makes shard-local sweeps
-        bitwise composable into the unsharded iteration.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        clone = copy.copy(self)
-        clone.upd_arena = self.upd_arena[positions]
-        clone.upd_u = self.upd_u[positions]
-        clone.upd_v = self.upd_v[positions]
-        clone.upd_label = self.upd_label[positions]
-        for cached in ("_result_pairs", "_result_ids"):
-            clone.__dict__.pop(cached, None)
-        clone._lcm_cache = {}
-        clone._build_terms()
-        clone._build_dependencies()
-        return clone
-
-    # ------------------------------------------------------------------
-    # storage backends
+    # footprint
     # ------------------------------------------------------------------
     #: Per-entry slab fields of each structure class -- the O(entries)
     #: arrays that dominate a compiled instance's footprint, plus the
@@ -1089,104 +994,20 @@ class CompiledFSim:
         CrossStructure: CrossStructure.__slots__,
     }
 
-    def release_resident_slabs(self) -> "CompiledFSim":
-        """Drop file-backed slab pages from this process's resident set.
-
-        ``madvise(MADV_DONTNEED)`` on each memmap slab evicts its pages
-        from this process's RSS; the data stays intact in the file (the
-        mappings are ``MAP_SHARED``, dirty pages are preserved) and
-        re-faults transparently on the next access.  A sharded-session
-        parent calls this after broadcasting worker slices: it keeps the
-        full compiled instance for O(delta) patching but rarely touches
-        the entry slabs again, so there is no reason to stay charged for
-        them.  No-op for RAM-backed slabs and on platforms without
-        ``madvise``.
-        """
-        import mmap as _mmap
-
-        advice = getattr(_mmap, "MADV_DONTNEED", None)
-        if advice is None:  # pragma: no cover - platform without madvise
-            return self
-        released: set = set()
-
-        def release(array):
-            mapping = getattr(array, "_mmap", None)
-            if (
-                _file_backed(array) and mapping is not None
-                and id(mapping) not in released
-            ):
-                released.add(id(mapping))
-                try:
-                    mapping.madvise(advice)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-
-        for structure in self._dep_structures():
-            for name in self._SLAB_FIELDS[type(structure)]:
-                release(getattr(structure, name))
-        for term in (self.out_term, self.in_term):
-            if term is not None:
-                release(term.conv)
-                release(term.denom)
-        release(self.dep_indptr)
-        if self._dep_targets is not None:
-            release(self._dep_targets)
-        return self
-
-    def _spill_term(self, term: "DirectionTerm") -> None:
-        """Move one direction term's slabs onto memmap storage."""
-        store = getattr(self, "_slab_store", None)
-        if store is None:
-            store = self._slab_store = _SlabStore()
-        for structure in term.structures:
-            if structure is None:
-                continue
-            for name in self._SLAB_FIELDS[type(structure)]:
-                setattr(
-                    structure, name,
-                    store.materialize(getattr(structure, name)),
-                )
-        term.conv = store.materialize(term.conv)
-        term.denom = store.materialize(term.denom)
-
-    def convert_to_memmap(self) -> "CompiledFSim":
-        """Move the per-entry slabs onto ``numpy.memmap`` storage.
-
-        The arrays keep their dtype, shape and plain ndarray interface
-        (``np.memmap`` is an ndarray subclass), so every consumer --
-        sweeps, streaming patches, the dependency gather -- works
-        unchanged while the OS pages entry lists in and out on demand.
-        Idempotent.  Pickling a converted instance materializes the data
-        back into bytes (numpy reconstructs memmaps as in-memory
-        arrays), so workers re-convert after unpickling when
-        ``config.arena_backend == "memmap"``.
-        """
-        store = getattr(self, "_slab_store", None)
-        if store is None:
-            store = self._slab_store = _SlabStore()
-        for term in (self.out_term, self.in_term):
-            if term is not None:
-                self._spill_term(term)
-        if self._dep_targets is not None:
-            self._dep_targets = store.materialize(self._dep_targets)
-        self.dep_indptr = store.materialize(self.dep_indptr)
-        return self
-
     def arena_nbytes(self) -> Dict[str, int]:
-        """Compiled-slab bytes by storage kind (``ram`` / ``memmap``).
+        """Compiled-slab bytes by storage kind (all ``ram``).
 
         Covers the arena-level arrays, the per-entry structure slabs and
         the dependency CSR -- everything whose footprint scales with the
         candidate space.  Feeds the ``repro_arena_bytes{kind}`` gauge.
         """
-        totals = {"ram": 0, "memmap": 0}
+        totals = {"ram": 0}
         seen: set = set()
 
         def add(array):
             if isinstance(array, np.ndarray) and id(array) not in seen:
                 seen.add(id(array))
-                kind = "memmap" if _file_backed(array) else "ram"
-                totals[kind] += int(array.nbytes)
+                totals["ram"] += int(array.nbytes)
 
         for name in (
             "arena_u", "arena_v", "arena_label", "scores0", "maintained",
@@ -1287,13 +1108,9 @@ def compile_fsim(graph1: LabeledDigraph, graph2: LabeledDigraph,
 
     with phase("engine.compile"):
         compiled = CompiledFSim(graph1, graph2, config)
-        if config.arena_backend == "memmap":
-            compiled.convert_to_memmap()
-    sizes = compiled.arena_nbytes()
-    for kind in ("ram", "memmap"):
-        gauge(
-            "repro_arena_bytes",
-            "Bytes of compiled candidate-arena slabs by storage kind.",
-            kind=kind,
-        ).set(float(sizes[kind]))
+    gauge(
+        "repro_arena_bytes",
+        "Bytes of compiled candidate-arena slabs by storage kind.",
+        kind="ram",
+    ).set(float(compiled.arena_nbytes()["ram"]))
     return compiled

@@ -22,7 +22,8 @@ Mirrors the paper's knobs:
   enough to amortize compilation; see docs/PERF.md);
 - ``workers`` / ``executor`` -- the parallel runtime (Section 3.4 /
   Figure 9a): how many worker processes share each iteration's pair
-  updates and which :mod:`repro.runtime` executor runs them.
+  updates over the one in-RAM compiled arena, and which
+  :mod:`repro.runtime` executor runs them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ Pair = Tuple[Hashable, Hashable]
 
 #: Recognised parallel-runtime executor kinds (see :mod:`repro.runtime`).
 EXECUTOR_KINDS = ("auto", "serial", "fork", "shared_memory")
-
-#: Recognised compiled-arena storage backends (see
-#: :meth:`repro.core.compile.CompiledFSim.convert_to_memmap`).
-ARENA_BACKENDS = ("ram", "memmap")
 
 
 @dataclass(frozen=True)
@@ -84,17 +81,6 @@ class FSimConfig:
     #: for dict engines where the platform forks), "serial", "fork" or
     #: "shared_memory".  Results are bitwise identical across executors.
     executor: str = "auto"
-    #: Pair-space shards for the persistent sharded runtime
-    #: (:mod:`repro.runtime.sharded`): 1 = unsharded.  With ``shards >
-    #: 1`` each shard's compiled rows (entry lists, dependency CSR,
-    #: dp/bj slots) live worker-local for the session's lifetime and
-    #: only boundary scores cross processes per iteration.  Results are
-    #: bitwise identical to the unsharded engine.
-    shards: int = 1
-    #: Storage backend for the big compiled slabs: "ram" (plain numpy)
-    #: or "memmap" (``numpy.memmap`` files behind the same array
-    #: interface, so arenas larger than RAM compile and iterate).
-    arena_backend: str = "ram"
 
     def __post_init__(self):
         variant = Variant(self.variant)
@@ -136,13 +122,6 @@ class FSimConfig:
             raise ConfigError(
                 f"executor must be one of {EXECUTOR_KINDS}, "
                 f"got {self.executor!r}"
-            )
-        if int(self.shards) < 1:
-            raise ConfigError(f"shards must be positive, got {self.shards}")
-        if self.arena_backend not in ARENA_BACKENDS:
-            raise ConfigError(
-                f"arena_backend must be one of {ARENA_BACKENDS}, "
-                f"got {self.arena_backend!r}"
             )
 
     @property

@@ -223,9 +223,9 @@ def update_pairs(engine: "FSimEngine", pairs, prev) -> Tuple[Dict[Pair, float], 
 
     Returns the new scores of exactly those pairs plus their max
     absolute change vs ``prev`` -- the primitive the serial loop runs
-    whole and every :mod:`repro.runtime` executor runs shard-wise, so
-    the bitwise-parity contract between serial and sharded iteration
-    has one source of truth.
+    whole and every :mod:`repro.runtime` executor runs over round-robin
+    pair slices, so the bitwise-parity contract between serial and
+    parallel iteration has one source of truth.
     """
     partial: Dict[Pair, float] = {}
     delta = 0.0
@@ -448,7 +448,7 @@ class FSimEngine:
         return min(max(score, 0.0), 1.0)
 
     def run(self, workers: Optional[int] = None,
-            executor=None, shards: Optional[int] = None) -> FSimResult:
+            executor=None) -> FSimResult:
         """Run Algorithm 1 to convergence and return the scores.
 
         The computation is dispatched to the backend selected by
@@ -458,19 +458,13 @@ class FSimEngine:
         iteration's pair updates over the :mod:`repro.runtime` executor
         (``executor`` -- a kind name or an
         :class:`~repro.runtime.executor.Executor` instance -- overrides
-        ``config.executor``); ``shards > 1`` (overriding
-        ``config.shards``; numpy backend only) runs the persistent
-        sharded runtime of :mod:`repro.runtime.sharded` instead, where
-        workers own pair-space slices and only boundary scores cross
-        processes per iteration.  Parallel and sharded results are
-        bitwise identical to serial iteration on both backends.
+        ``config.executor``).  Parallel results are bitwise identical
+        to serial iteration on both backends.
         """
         from repro.runtime import resolve_executor
 
         if workers is not None and workers < 1:
             raise ConfigError(f"workers must be positive, got {workers}")
-        if shards is not None and shards < 1:
-            raise ConfigError(f"shards must be positive, got {shards}")
         if self._resolve_backend() == "numpy":
             from repro.core.vectorized import run_vectorized
 
@@ -479,7 +473,6 @@ class FSimEngine:
                 executor=resolve_executor(
                     self.config, workers, executor, workload="sweep"
                 ),
-                shards=shards,
             )
         from repro.runtime.driver import run_reference_engine
 

@@ -120,15 +120,14 @@ class TopKSearch:
     # ------------------------------------------------------------------
     def search(self, query: Node, k: int,
                workers: Optional[int] = None,
-               executor=None, shards: Optional[int] = None) -> TopKResult:
+               executor=None) -> TopKResult:
         """Return the certified top-k partners of ``query``."""
         return self.search_many([query], k, workers=workers,
-                                executor=executor, shards=shards)[0]
+                                executor=executor)[0]
 
     def search_many(self, queries: Sequence[Node], k: int,
                     workers: Optional[int] = None,
-                    executor=None,
-                    shards: Optional[int] = None) -> List[TopKResult]:
+                    executor=None) -> List[TopKResult]:
         """Certified top-k for every query node, from one shared run.
 
         Returns one :class:`TopKResult` per query, in input order.  Each
@@ -138,10 +137,7 @@ class TopKSearch:
         holds.  ``workers > 1`` runs the shared iteration loop on the
         :mod:`repro.runtime` executor (the batch shares one sweep
         session -- and, with the shared-memory executor, one persistent
-        pool); ``shards > 1`` (default ``config.shards``; numpy backend)
-        runs the sharded runtime instead, with the query rows gathered
-        per iteration through its watch buffer.  Results are bitwise
-        identical to the serial loop either way.
+        pool).  Results are bitwise identical to the serial loop.
         """
         from repro.runtime import resolve_executor
 
@@ -154,13 +150,10 @@ class TopKSearch:
         if not queries:
             return []
         config = self.engine.config
-        if shards is None:
-            shards = config.shards
         if self.engine._resolve_backend() == "numpy":
             resolved = resolve_executor(config, workers, executor,
                                         workload="sweep")
-            return self._search_many_numpy(queries, k, resolved,
-                                           shards=int(shards))
+            return self._search_many_numpy(queries, k, resolved)
         resolved = resolve_executor(config, workers, executor,
                                     workload="pairs")
         return self._search_many_python(queries, k, resolved)
@@ -245,7 +238,7 @@ class TopKSearch:
     # ------------------------------------------------------------------
     # compiled (numpy) backend
     # ------------------------------------------------------------------
-    def _search_many_numpy(self, queries, k, executor, shards: int = 1):
+    def _search_many_numpy(self, queries, k, executor):
         import numpy as np
 
         from repro.core.compile import compile_fsim
@@ -342,15 +335,6 @@ class TopKSearch:
                     remaining.append(position)
             active[:] = remaining
 
-        if shards > 1:
-            sharded = self._search_many_sharded(
-                queries, k, compiled, shards, results, active,
-                certify_active, row_ids, row_extra, row_order,
-                top_partners,
-            )
-            if sharded is not None:
-                return sharded
-
         scores = compiled.scores0.copy()
         upd = np.arange(len(compiled.upd_arena), dtype=np.int64)
         iterations = 0
@@ -382,70 +366,6 @@ class TopKSearch:
         for position in active:  # iteration budget exhausted: best effort
             query = queries[position]
             values = row_values(query, scores)
-            order = row_order(query, values)
-            results[position] = TopKResult(
-                query=query,
-                partners=top_partners(query, values, order, k),
-                iterations=iterations, certified=False,
-            )
-        return results
-
-    def _search_many_sharded(self, queries, k, compiled, shards, results,
-                             active, certify_active, row_ids, row_extra,
-                             row_order, top_partners):
-        """The batch search over the sharded runtime, or ``None`` when
-        the instance is too small to shard (the caller runs the
-        bitwise-identical unsharded loop).
-
-        The union of the query rows becomes the runtime's *watch set*:
-        those scores arrive in the parent after every iteration barrier
-        (O(watch) traffic) and feed the same retirement rule, so
-        results -- partners, scores, iterations, certification -- are
-        bitwise identical to the unsharded loop.
-        """
-        import numpy as np
-
-        from repro.runtime.sharded import open_sharded_runtime
-
-        runtime = open_sharded_runtime(compiled, shards)
-        if runtime is None:
-            return None
-        query_set = sorted(set(queries), key=repr)
-        if query_set:
-            watch = np.unique(np.concatenate(
-                [row_ids[query] for query in query_set]
-            ).astype(np.int64))
-        else:
-            watch = np.empty(0, dtype=np.int64)
-        row_pos = {
-            query: np.searchsorted(watch, row_ids[query])
-            for query in query_set
-        }
-        state = {"iterations": 0,
-                 "values": compiled.scores0[watch].copy()}
-
-        def on_iteration(iteration, watch_values, delta, converged):
-            state["iterations"] = iteration
-            state["values"] = watch_values
-            certify_active(
-                lambda query: np.concatenate(
-                    (watch_values[row_pos[query]], row_extra[query])
-                ),
-                delta, converged, iteration,
-            )
-            return not active
-
-        try:
-            _, iterations, _, _ = runtime.iterate(
-                watch=watch, on_iteration=on_iteration
-            )
-        finally:
-            runtime.close()
-        for position in active:  # iteration budget exhausted: best effort
-            query = queries[position]
-            values = np.concatenate(
-                (state["values"][row_pos[query]], row_extra[query])
-            )
             order = row_order(query, values)
             results[position] = TopKResult(
                 query=query,

@@ -452,8 +452,7 @@ class VectorizedFSimEngine:
         return trajectory[iterations], iterations, converged, deltas
 
 
-def run_vectorized(engine, workers: Optional[int] = None, executor=None,
-                   shards: Optional[int] = None):
+def run_vectorized(engine, workers: Optional[int] = None, executor=None):
     """Run ``engine``'s computation on the numpy backend.
 
     ``engine`` is a :class:`repro.core.engine.FSimEngine`; the caller has
@@ -462,34 +461,11 @@ def run_vectorized(engine, workers: Optional[int] = None, executor=None,
     name, or ``None`` to resolve from the config / ``workers``) runs the
     sweeps; every executor returns the same
     :class:`~repro.core.engine.FSimResult` bit for bit.
-
-    ``shards`` (default ``config.shards``) > 1 selects the persistent
-    sharded runtime (:mod:`repro.runtime.sharded`): pair-space slices
-    owned by dedicated workers, boundary-only exchange per iteration.
-    Sharded results are bitwise identical; instances too small to shard
-    silently run unsharded.
     """
     from repro.core.engine import FSimResult
     from repro.runtime import resolve_executor
 
     compiled = compile_fsim(engine.graph1, engine.graph2, engine.config)
-    if shards is None:
-        shards = engine.config.shards
-    if int(shards) > 1:
-        from repro.runtime.sharded import run_sharded
-
-        scores, iterations, converged, deltas = run_sharded(
-            compiled, int(shards)
-        )
-        return FSimResult(
-            scores=compiled.result_scores(scores),
-            config=engine.config,
-            iterations=iterations,
-            converged=converged,
-            deltas=deltas,
-            num_candidates=compiled.num_candidates,
-            fallback=engine.result_fallback(),
-        )
     vectorized = VectorizedFSimEngine(compiled)
     resolved = resolve_executor(
         engine.config, workers, executor, workload="sweep"

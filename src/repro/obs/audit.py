@@ -7,8 +7,8 @@ samples a configurable fraction of live read requests (fsim / topk /
 matrix) at the store layer, captures the served result plus the graph
 version watermark it was computed at, and re-executes the request off
 the hot path on an **independent configuration** -- the pure-python
-reference backend, serial executor, unsharded, RAM arena -- then
-asserts the score fingerprints are identical.
+reference backend on the serial executor -- then asserts the score
+fingerprints are identical.
 
 Soundness under concurrent mutation rests on the graphs' monotone
 version counters: the watermark is checked before *and* after the
@@ -46,8 +46,7 @@ AUDIT_DROPPED = "repro_audit_dropped_total"
 
 #: Config fields forced onto the reference re-execution -- maximally
 #: independent of whatever fast path served the live answer.
-REFERENCE_OVERRIDES = dict(backend="python", workers=1, executor="serial",
-                           shards=1, arena_backend="ram")
+REFERENCE_OVERRIDES = dict(backend="python", workers=1, executor="serial")
 
 
 def fingerprint_scores(scores) -> str:

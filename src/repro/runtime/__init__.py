@@ -1,10 +1,9 @@
 """The unified executor runtime (Section 3.4 / Figure 9a, as a layer).
 
 Iteration k of Algorithm 1 reads only iteration k-1 scores, so pair
-updates parallelize without conflicts.  Before this subsystem that
-observation was served by three disconnected fork-pool code paths in
-``repro.core.parallel``; every parallel caller now runs on one
-:class:`~repro.runtime.executor.Executor`:
+updates parallelize without conflicts.  Every parallel caller runs on
+one :class:`~repro.runtime.executor.Executor` over one in-RAM compiled
+arena:
 
 - :class:`~repro.runtime.executor.SerialExecutor` -- the in-process
   reference path (``workers == 1``);
@@ -24,13 +23,6 @@ Executors are resolved from ``FSimConfig(workers=..., executor=...)``
 are cached process-wide by :func:`get_executor` so repeated queries
 share one pool.  All executors produce results bitwise identical to
 serial iteration -- see ``tests/test_runtime.py``.
-
-:mod:`repro.runtime.sharded` layers *ownership* on top: with
-``FSimConfig(shards=...)`` the pair space is partitioned once per
-session and each shard's compiled rows live worker-local for the
-session's lifetime -- only boundary scores cross processes per Jacobi
-iteration (a shared-memory halo exchange), instead of re-broadcasting
-O(arena) state.  Sharded results are bitwise identical too.
 """
 
 from repro.runtime.executor import (
@@ -49,18 +41,8 @@ from repro.runtime.executor import (
     shutdown_executors,
     update_pairs,
 )
-from repro.runtime.sharded import (
-    InProcessShardRunner,
-    ShardedSweepRuntime,
-    open_sharded_runtime,
-    run_sharded,
-)
 
 __all__ = [
-    "InProcessShardRunner",
-    "ShardedSweepRuntime",
-    "open_sharded_runtime",
-    "run_sharded",
     "EXECUTOR_KINDS",
     "Executor",
     "ForkExecutor",

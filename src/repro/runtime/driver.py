@@ -4,15 +4,7 @@ The fixed-point orchestration (scheduling, convergence, result
 assembly) stays in the parent; executors only evaluate Jacobi steps.
 These drivers are what the public entry points
 (:meth:`repro.core.engine.FSimEngine.run`,
-:func:`repro.core.api.fsim_matrix_many`) delegate to -- the legacy
-``repro.core.parallel`` module is a thin shim over them.
-
-These drivers broadcast the full compiled arena to every worker each
-session.  For long-lived sessions over large arenas, the persistent
-sharded runtime (:mod:`repro.runtime.sharded`) inverts that ownership:
-each worker holds one pair-space shard for the session lifetime and
-only boundary ("halo") scores cross process boundaries per iteration.
-``FSimConfig(shards=...)`` selects it; results stay bitwise identical.
+:func:`repro.core.api.fsim_matrix_many`) delegate to.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Executor implementations for the unified parallel runtime.
 
-An :class:`Executor` exposes three workload shapes, each a superset of
-one legacy ``repro.core.parallel`` entry point:
+An :class:`Executor` exposes three workload shapes:
 
 ``sweep_session(vectorized)``
     Context manager yielding a drop-in ``sweep(scores, upd)`` for the
@@ -21,9 +20,7 @@ one legacy ``repro.core.parallel`` entry point:
     tuples, or ``None`` to make the caller run serially.
 
 Pools are created **lazily**: a session that never crosses the parallel
-threshold (every sweep's dirty set is tiny) never spawns a process --
-the old ``iterate_vectorized_parallel`` forked a pool up front even
-when all sweeps ran serially anyway.
+threshold (every sweep's dirty set is tiny) never spawns a process.
 
 The :class:`SharedMemoryExecutor` is the production runtime: one
 persistent pool (reused across queries, top-k batches and streaming
@@ -62,8 +59,7 @@ from repro.exceptions import ConfigError
 #: process: per-task dispatch overhead (hundreds of microseconds per
 #: worker) dwarfs the vectorized sweep arithmetic below it.  Also the
 #: pool-spawn gate -- a session whose sweeps all stay below it never
-#: creates a pool at all (the legacy runner forked one up front even
-#: when every sweep then ran serially).
+#: creates a pool at all.
 MIN_PARALLEL_UPD = 1024
 
 #: Same gate for the reference (dict) engine's pair updates.  A python
@@ -157,20 +153,6 @@ class _PayloadBlock:
     @property
     def name(self) -> str:
         return self.shm.name
-
-    def seal(self) -> None:
-        """Release this process's mapping of the block.
-
-        The pages stay alive in the kernel under the block's name --
-        workers attach and read as usual, and :meth:`close` can still
-        unlink by name -- but they stop counting against the publishing
-        process's resident set.  A sealed block cannot be read locally
-        again, so only publish-and-forget payloads (sharded slices,
-        journal deltas) seal."""
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover
-            pass
 
     def close(self) -> None:
         try:
@@ -848,12 +830,6 @@ class SharedMemoryExecutor(Executor):
         #: Live broadcast channels (closed with the executor so their
         #: shared-memory blocks never outlive the pool).
         self._channels: "weakref.WeakSet[SweepChannel]" = weakref.WeakSet()
-        #: Live sharded runtimes (:mod:`repro.runtime.sharded`) whose
-        #: lifecycle is tied to this executor: a registered runtime pins
-        #: the executor in the registry (its workers own resident arena
-        #: shards, which eviction would silently destroy) and is closed
-        #: with the executor.
-        self._shard_runtimes: "weakref.WeakSet" = weakref.WeakSet()
 
     # -- pool / arena lifecycle ---------------------------------------
     @property
@@ -912,16 +888,7 @@ class SharedMemoryExecutor(Executor):
         self._channels.add(channel)
         return channel
 
-    def register_shard_runtime(self, runtime) -> None:
-        """Tie a sharded runtime's lifecycle to this executor (see
-        :mod:`repro.runtime.sharded`): while the runtime is live the
-        executor is never reclaimed, and closing the executor closes
-        the runtime."""
-        self._shard_runtimes.add(runtime)
-
     def close(self) -> None:
-        for runtime in list(self._shard_runtimes):
-            runtime.close()
         for channel in list(self._channels):
             channel.close()
         if self._pool is not None:
@@ -1153,18 +1120,6 @@ _CACHE_LOCK = threading.Lock()
 MAX_CACHED_EXECUTORS = 4
 
 
-def _holds_live_shards(executor: Executor) -> bool:
-    """Whether any live sharded runtime is registered on this executor.
-
-    A sharded session's workers *own* their arena shards (slices of the
-    compiled state resident for the session's lifetime); reclaiming the
-    executor would destroy them mid-session, so such executors are
-    exempt even from :func:`shutdown_executors`.
-    """
-    runtimes = getattr(executor, "_shard_runtimes", None)
-    return bool(runtimes) and any(not rt.closed for rt in runtimes)
-
-
 def _reclaimable(executor: Executor) -> bool:
     """Whether eviction may close this executor right now.
 
@@ -1172,18 +1127,12 @@ def _reclaimable(executor: Executor) -> bool:
     resident streaming session's channel carries its one-time state
     broadcast, and closing it would silently demote that session from
     O(delta) delta shipping back to full re-broadcasts (plus respawn
-    the pool outside the registry's reach on its next compute) -- and
-    not holding any live sharded runtime, whose workers own resident
-    arena shards.
+    the pool outside the registry's reach on its next compute).
     """
     if executor.active_sessions:
         return False
     channels = getattr(executor, "_channels", None)
-    if channels and any(not channel.closed for channel in channels):
-        return False
-    if _holds_live_shards(executor):
-        return False
-    return True
+    return not (channels and any(not channel.closed for channel in channels))
 
 
 def get_executor(kind: str, workers: int) -> Executor:
@@ -1258,35 +1207,17 @@ def executor_registry_stats() -> Dict[str, object]:
 
 
 def shutdown_executors() -> None:
-    """Close every cached executor (pools, shared-memory arenas).
-
-    Executors holding a live sharded session are skipped -- their
-    workers own resident arena shards that a blanket shutdown (e.g. a
-    server housekeeping sweep) must not destroy mid-session.  They are
-    closed when their runtimes close, or at interpreter exit.
-    """
-    with _CACHE_LOCK:
-        for key in list(_CACHE):
-            cached = _CACHE[key]
-            if _holds_live_shards(cached):
-                continue
-            _CACHE.pop(key).close()
-
-
-#: Explicit alias for long-lived servers (the eviction API's big hammer).
-shutdown_all = shutdown_executors
-
-
-def _shutdown_at_exit() -> None:
-    """Interpreter exit: close everything, sharded sessions included
-    (closing an executor closes its registered shard runtimes)."""
+    """Close every cached executor (pools, shared-memory arenas)."""
     with _CACHE_LOCK:
         for cached in _CACHE.values():
             cached.close()
         _CACHE.clear()
 
 
-atexit.register(_shutdown_at_exit)
+#: Explicit alias for long-lived servers (the eviction API's big hammer).
+shutdown_all = shutdown_executors
+
+atexit.register(shutdown_executors)
 
 
 def resolve_executor(config=None, workers: Optional[int] = None,

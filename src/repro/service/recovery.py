@@ -48,7 +48,7 @@ from repro.service.snapshot import (
     load_snapshot,
     restore_snapshot,
 )
-from repro.service.store import GraphStore
+from repro.service.store import GraphStore, apply_config_params
 from repro.service.wal import (
     DEFAULT_COMPACT_BYTES,
     WAL_FILENAME,
@@ -57,7 +57,6 @@ from repro.service.wal import (
     read_wal,
     repair_wal,
 )
-from repro.simulation.base import Variant
 from repro.streaming.delta import DeltaOp
 
 PathLike = Union[str, Path]
@@ -146,6 +145,11 @@ def _restore_snapshot_tolerant(
         return None
 
 
+#: Execution fields a ``register`` record may carry from before its
+#: params were validated (the last two name knobs since removed).
+RETIRED_REGISTER_PARAMS = ("workers", "executor", "shards", "arena_backend")
+
+
 def _register_from_source(store: GraphStore, record: dict,
                           served_config: Optional[FSimConfig],
                           report: RecoveryReport) -> bool:
@@ -163,13 +167,20 @@ def _register_from_source(store: GraphStore, record: dict,
         return _restore_snapshot_tolerant(
             store, Path(source["snapshot"]), served_config, report
         ) is not None
-    config = store.default_config
-    params = source.get("params")
-    if params:
-        overrides = dict(params)
-        if "variant" in overrides:
-            overrides["variant"] = Variant(overrides["variant"])
-        config = config.with_options(**overrides)
+    params = dict(source.get("params") or {})
+    dropped = sorted(key for key in RETIRED_REGISTER_PARAMS if key in params)
+    if dropped:
+        # Accepted before register validated its params; none of them
+        # ever changed a score, so the graph replays without them.
+        for key in dropped:
+            del params[key]
+        logger.warning("register record for %r: dropped execution "
+                       "params %s", name, ", ".join(dropped))
+    try:
+        config = apply_config_params(store.default_config, params)
+    except ServiceError as exc:
+        logger.warning("register record for %r: %s", name, exc)
+        return False
     if "path" in source:
         graph = load_graph(source["path"], name=name)
     elif "nodes" in source:

@@ -64,7 +64,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import pickle
 import random
 import time
 import zlib
@@ -80,7 +79,7 @@ from repro.exceptions import (
     WalError,
 )
 from repro.service.recovery import RecoveryReport, WalReplayer
-from repro.service.snapshot import adopt_snapshot_payload
+from repro.service.snapshot import adopt_snapshot_payload, loads_payload
 from repro.service.wal import (
     RECORD_KINDS,
     FaultInjector,
@@ -622,7 +621,7 @@ class ReplicationTail:
         response = await self._request(reader, writer, "replica_bootstrap")
         result = response["result"]
         payloads = {
-            name: pickle.loads(base64.b64decode(blob))
+            name: loads_payload(base64.b64decode(blob))
             for name, blob in result["graphs"].items()
         }
         names = set(payloads) | set(self.store.graph_names())

@@ -58,9 +58,8 @@ from repro.exceptions import (
 )
 from repro.service.replication import ReplicationHub, ReplicationTail
 from repro.service.scheduler import BATCHED_OPS, MicroBatchScheduler
-from repro.service.store import GraphStore
+from repro.service.store import GraphStore, apply_config_params
 from repro.service.wal import FaultInjector
-from repro.simulation.base import Variant
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +98,20 @@ def topk_result_to_wire(result: TopKResult) -> dict:
 #: ``op="oversized"``, and skipped up to its newline.
 MAX_REQUEST_LINE = 1 << 22
 OVERSIZED_OP = "oversized"
+
+#: Ops answered inline by :meth:`FSimServer._dispatch` (the batched
+#: ones come from the scheduler).  Request metrics label only these
+#: names: any other op counts as ``op="unknown"`` and a line that is
+#: not a JSON object as ``op="invalid"``, so a client cannot grow the
+#: series count.
+INLINE_OPS = (
+    "ping", "graphs", "metrics", "trace", "stats", "cluster_metrics",
+    "shutdown", "register", "snapshot_save", "snapshot_restore",
+    "replica_bootstrap",
+)
+KNOWN_OPS = frozenset(INLINE_OPS + BATCHED_OPS)
+UNKNOWN_OP = "unknown"
+INVALID_OP = "invalid"
 
 
 def _count_request(op: str, ok: bool) -> None:
@@ -461,6 +474,7 @@ class FSimServer:
                        write_lock: asyncio.Lock, line: bytes) -> None:
         request_id = None
         op = None
+        metric_op = INVALID_OP
         trace: Optional[tracing.TraceHandle] = None
         start_wall = time.time()
         start = time.perf_counter()
@@ -470,6 +484,8 @@ class FSimServer:
                 raise ServiceError("request must be a JSON object")
             request_id = request.get("id")
             op = request.get("op")
+            metric_op = (op if isinstance(op, str) and op in KNOWN_OPS
+                         else UNKNOWN_OP)
             if op == "replicate":
                 # The one op that takes over its connection: after the
                 # single header response the socket becomes a one-way
@@ -505,12 +521,12 @@ class FSimServer:
                 {"op": str(op), "error": repr(exc)},
             )
         duration = time.perf_counter() - start
-        if op is not None and metrics.REGISTRY.enabled:
-            _count_request(str(op), bool(response.get("ok")))
+        if metrics.REGISTRY.enabled:
+            _count_request(metric_op, bool(response.get("ok")))
             metrics.histogram(
                 "repro_request_seconds",
                 "Server-side request latency (parse to response built).",
-                op=str(op),
+                op=metric_op,
             ).observe(duration)
         if trace is not None:
             trace.add_span("server.dispatch", start_wall, duration,
@@ -780,13 +796,8 @@ class FSimServer:
     async def _register(self, request: dict) -> dict:
         name = _require(request, "name")
         replace = bool(request.get("replace", False))
-        config = self.store.default_config
         params = request.get("params")
-        if params:
-            overrides = dict(params)
-            if "variant" in overrides:
-                overrides["variant"] = Variant(overrides["variant"])
-            config = config.with_options(**overrides)
+        config = apply_config_params(self.store.default_config, params)
         graph = await asyncio.get_running_loop().run_in_executor(
             None, self._build_graph, name, request
         )

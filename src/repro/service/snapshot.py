@@ -26,6 +26,7 @@ stats (no cold runs).
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import time
@@ -42,6 +43,29 @@ PathLike = Union[str, Path]
 
 #: Bump on any incompatible change to the payload layout.
 SNAPSHOT_FORMAT = 1
+
+
+class _RetiredSlabStore:
+    """Unpickles the file-backed slab store that compiled arenas of
+    older snapshots carry; their slabs arrive as in-RAM arrays, so the
+    store has nothing left to hold and is dropped on load."""
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) == ("repro.core.compile", "_SlabStore"):
+            return _RetiredSlabStore
+        return super().find_class(module, name)
+
+
+def loads_payload(data: bytes) -> dict:
+    """Unpickle a snapshot payload, including older layouts."""
+    payload = _PayloadUnpickler(io.BytesIO(data)).load()
+    session_state = (payload.get("session_state")
+                     if isinstance(payload, dict) else None)
+    if session_state is not None:
+        vars(session_state["compiled"]).pop("_slab_store", None)
+    return payload
 
 
 def graph_fingerprint(graph: LabeledDigraph, config: FSimConfig) -> str:
@@ -154,7 +178,7 @@ def load_snapshot(path: PathLike) -> dict:
     """Read and structurally validate a snapshot payload."""
     try:
         with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+            payload = loads_payload(handle.read())
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at {path}") from None
     except Exception as exc:

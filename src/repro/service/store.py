@@ -64,12 +64,36 @@ JOURNAL_CAP = 4096
 #: retries within seconds, not after 4096 intervening mutations).
 RID_CAP = 4096
 
-#: Request parameters that may override a registered graph's config.
+#: Request parameters that may override a registered graph's config
+#: (on ``register`` and on every read).  Execution fields -- how many
+#: workers, which executor -- are the server's to choose, not a
+#: client's.
 CONFIG_PARAMS = (
     "variant", "w_out", "w_in", "label_function", "theta",
     "use_upper_bound", "alpha", "beta", "epsilon", "max_iterations",
     "matching_mode", "normalizer", "backend",
 )
+
+
+def apply_config_params(config: FSimConfig, params) -> FSimConfig:
+    """``config`` with client ``params`` applied.
+
+    Only :data:`CONFIG_PARAMS` keys pass (``variant`` is coerced); any
+    other key, or an invalid value, is a typed :class:`ServiceError`.
+    """
+    if not params:
+        return config
+    if not isinstance(params, dict):
+        raise ServiceError("params must be a JSON object")
+    overrides = {}
+    for key, value in params.items():
+        if key not in CONFIG_PARAMS:
+            raise ServiceError(f"unknown config parameter {key!r}")
+        overrides[key] = Variant(value) if key == "variant" else value
+    try:
+        return config.with_options(**overrides)
+    except ConfigError as exc:
+        raise ServiceError(str(exc)) from exc
 
 
 def config_key(config: FSimConfig) -> tuple:
@@ -256,7 +280,6 @@ class GraphStore:
         session_mode: str = "replay",
         workers: Optional[int] = None,
         executor: Optional[str] = None,
-        shards: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
         wal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
     ):
@@ -266,8 +289,6 @@ class GraphStore:
             overrides["workers"] = int(workers)
         if executor is not None:
             overrides["executor"] = executor
-        if shards is not None:
-            overrides["shards"] = int(shards)
         if overrides:
             base = base.with_options(**overrides)
         self.default_config = base
@@ -375,20 +396,7 @@ class GraphStore:
                        params: Optional[dict]) -> FSimConfig:
         """The effective config: graph1's registered default plus any
         per-request overrides from ``params``."""
-        config = self.graph(name).config
-        if not params:
-            return config
-        overrides = {}
-        for key, value in params.items():
-            if key not in CONFIG_PARAMS:
-                raise ServiceError(f"unknown config parameter {key!r}")
-            if key == "variant":
-                value = Variant(value)
-            overrides[key] = value
-        try:
-            return config.with_options(**overrides)
-        except ConfigError as exc:
-            raise ServiceError(str(exc)) from exc
+        return apply_config_params(self.graph(name).config, params)
 
     def pair(self, name1: str, name2: str,
              config: FSimConfig) -> PairState:

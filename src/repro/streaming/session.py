@@ -85,16 +85,6 @@ class IncrementalFSim:
         the shared-memory executor the session's sweeps run over one
         persistent worker pool, reused across every :meth:`compute` --
         results stay bitwise identical to the serial session.
-    shards:
-        ``> 1`` (default ``config.shards``) serves the session from the
-        persistent sharded runtime (:mod:`repro.runtime.sharded`): each
-        worker owns a pair-space slice for the session's lifetime,
-        edits route as O(delta) journal entries to the owning shards,
-        and each :meth:`compute` re-runs the fixed point cold across
-        the shards -- which is bitwise identical to the replay-mode
-        trajectory (replay reproduces the cold trajectory by
-        construction), at zero trajectory memory.  Instances too small
-        to shard silently run unsharded.
     """
 
     def __init__(
@@ -106,7 +96,6 @@ class IncrementalFSim:
         max_trajectory_mb: float = 1024.0,
         workers: Optional[int] = None,
         executor=None,
-        shards: Optional[int] = None,
     ):
         from repro.runtime import resolve_executor
 
@@ -125,10 +114,6 @@ class IncrementalFSim:
         self.config = config
         self.mode = mode
         self.max_trajectory_mb = float(max_trajectory_mb)
-        self.shards = int(shards if shards is not None else config.shards)
-        if self.shards < 1:
-            raise ConfigError(f"shards must be positive, got {self.shards}")
-        self._sharded = None  # lazy ShardedSweepRuntime (shards > 1)
         self.executor = resolve_executor(config, workers, executor,
                                          workload="sweep")
         # Persistent broadcast channel (shared-memory executors only):
@@ -154,7 +139,6 @@ class IncrementalFSim:
             "full_recompiles": 0,
             "out_of_band_resyncs": 0,
             "iterations": 0,
-            "sharded_runs": 0,
         }
 
     # ------------------------------------------------------------------
@@ -180,7 +164,6 @@ class IncrementalFSim:
             self._trajectory = None
             self._final = None
             self._result = None
-            self._discard_sharded()
             if self._channel is not None:
                 self._channel.invalidate()
             raise
@@ -209,9 +192,8 @@ class IncrementalFSim:
         call more than once; a session dropped without ``close`` is
         cleaned up by a finalizer, but a long-lived server should close
         evicted sessions promptly -- each open channel pins
-        shared-memory blocks (and each sharded runtime, worker pools).
+        shared-memory blocks.
         """
-        self._discard_sharded()
         if self._channel is not None:
             self._channel.close()
 
@@ -266,15 +248,13 @@ class IncrementalFSim:
             )
         if state["config"] != self.config:
             raise ConfigError("snapshot config does not match the session")
-        if (self.mode == "replay" and state["trajectory"] is None
-                and self.shards <= 1):
-            # A sharded session keeps no replay trajectory (it re-runs
-            # the fixed point cold, which is bitwise identical); an
-            # unsharded replay session cannot resume from that.
+        if self.mode == "replay" and state["trajectory"] is None:
+            # A replay session resumes from the trajectory; a payload
+            # without one (a warm session's, or an older layout's) can
+            # only seed a warm session.
             raise ConfigError(
-                "snapshot was taken by a sharded session (no replay "
-                "trajectory); adopt it into a sharded session or use "
-                "mode='warm'"
+                "snapshot carries no replay trajectory; adopt it into a "
+                "session with mode='warm'"
             )
         self._compiled = state["compiled"]
         trajectory = state["trajectory"]
@@ -306,17 +286,6 @@ class IncrementalFSim:
     def _cold(self) -> FSimResult:
         self.stats["cold_runs"] += 1
         compiled = compile_fsim(self.graph1, self.graph2, self.config)
-        if self.shards > 1:
-            self._discard_sharded()
-            sharded = self._ensure_sharded(compiled)
-            if sharded is not None:
-                scores, iterations, converged, deltas = sharded.iterate()
-                self.stats["sharded_runs"] += 1
-                self._compiled = compiled
-                self._trajectory = None
-                self._final = scores
-                self.stats["iterations"] += iterations
-                return self._wrap(scores, iterations, converged, deltas)
         if self.mode == "replay":
             self._check_trajectory_budget(compiled.num_feasible)
         engine = VectorizedFSimEngine(compiled)
@@ -337,69 +306,11 @@ class IncrementalFSim:
         return self._wrap(scores, iterations, converged, deltas)
 
     # ------------------------------------------------------------------
-    # sharded serving (shards > 1)
-    # ------------------------------------------------------------------
-    def _ensure_sharded(self, compiled: CompiledFSim):
-        """The session's sharded runtime over ``compiled``, opened
-        lazily (``None`` when the instance is too small to shard -- the
-        caller falls back to the bitwise-identical unsharded paths)."""
-        from repro.runtime.sharded import open_sharded_runtime
-
-        if self._sharded is not None and not self._sharded.closed:
-            return self._sharded
-        runtime = open_sharded_runtime(
-            compiled, self.shards, executor=self.executor
-        )
-        if runtime is not None:
-            weakref.finalize(self, _close_runtime, runtime)
-        self._sharded = runtime
-        return runtime
-
-    def _discard_sharded(self) -> None:
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
-
-    def _sharded_incremental(self, delta1: Delta,
-                             delta2: Delta) -> FSimResult:
-        """Sharded compute after mutations: patch the parent compiled
-        instance, journal the delta to the owning shards (O(delta)
-        broadcast) and re-run the fixed point cold across the shards --
-        bitwise identical to the replay-mode result."""
-        sharded = self._sharded
-        compiled = self._compiled
-        try:
-            plan1 = lower_graph(self.graph1)
-            plan2 = lower_graph(self.graph2)
-            patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
-            self.stats["compiled_patches"] += 1
-            sharded.record_patch(delta1, delta2, self.graph2 is self.graph1)
-        except CompiledPatchError:
-            # Node/label churn reshapes the arena: recompile and open a
-            # fresh partition/runtime over it.
-            self.stats["full_recompiles"] += 1
-            self._discard_sharded()
-            compiled = compile_fsim(self.graph1, self.graph2, self.config)
-            sharded = self._ensure_sharded(compiled)
-        if sharded is not None:
-            scores, iterations, converged, deltas = sharded.iterate()
-            self.stats["sharded_runs"] += 1
-        else:  # shrunk below the sharding threshold: run unsharded
-            engine = VectorizedFSimEngine(compiled)
-            scores, iterations, converged, deltas = engine.iterate()
-        self._compiled = compiled
-        self._final = scores
-        self.stats["iterations"] += iterations
-        return self._wrap(scores, iterations, converged, deltas)
-
-    # ------------------------------------------------------------------
     # incremental path
     # ------------------------------------------------------------------
     def _incremental(self, delta1: Delta, delta2: Delta) -> FSimResult:
         self.stats["incremental_runs"] += 1
         self._refresh_plans(delta1, delta2)
-        if self._sharded is not None and not self._sharded.closed:
-            return self._sharded_incremental(delta1, delta2)
         compiled = self._compiled
         touched: Optional[np.ndarray] = None
         dirty0: Optional[np.ndarray] = None
@@ -551,11 +462,6 @@ class IncrementalFSim:
 def _close_channel(channel) -> None:
     """Finalizer target (must not be a bound method of the session)."""
     channel.close()
-
-
-def _close_runtime(runtime) -> None:
-    """Finalizer target for dropped sessions' sharded runtimes."""
-    runtime.close()
 
 
 def _arena_mapping(

@@ -510,6 +510,37 @@ class TestSnapshotWalEdgeCases:
         assert dict(recovered.fsim("g", "g").scores) == expected
         recovered.close()
 
+    def test_register_with_retired_execution_params_replays(
+            self, tmp_path, caplog):
+        """``register`` records written before params were validated
+        may carry execution fields (two of them since removed from the
+        config); replay drops them, logs it, and recovers bitwise."""
+        config = numpy_config(variant=Variant.DP)
+        store = GraphStore(default_config=numpy_config(),
+                           wal=WriteAheadLog(tmp_path, sync="always"))
+        graph = make_graph()
+        params = {"variant": "dp", "workers": 2, "executor": "fork",
+                  "shards": 2, "arena_backend": "memmap"}
+        store.register("g", graph, config, source={
+            "nodes": [[node, graph.label(node)] for node in graph.nodes()],
+            "edges": [list(edge) for edge in graph.edges()],
+            "params": params,
+        })
+        batches = mutation_stream(3)
+        for ops in batches:
+            store.mutate("g", ops)
+        store.close()
+        with caplog.at_level("WARNING", logger="repro.service.recovery"):
+            recovered, report = recover_store(tmp_path,
+                                              config=numpy_config())
+        assert report.replayed_registers == 1
+        assert report.lost_graphs == []
+        assert "arena_backend, executor, shards, workers" in caplog.text
+        assert recovered.graph("g").config == config
+        expected, _ = reference_scores(batches, config)
+        assert dict(recovered.fsim("g", "g").scores) == expected
+        recovered.close()
+
     def test_empty_wal_directory(self, tmp_path):
         recovered, report = recover_store(tmp_path, config=numpy_config())
         assert recovered.graph_names() == []

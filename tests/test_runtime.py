@@ -8,6 +8,7 @@ creation (tiny workloads never spawn a process), pool reuse across
 queries, and graceful degradation where fork is unavailable.
 """
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -317,6 +318,30 @@ class TestSpawnFallback:
         finally:
             ex.close()
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_start_method_parity(self, start_method):
+        """A dp arena swept on a persistent shared-memory pool under
+        either start method matches the serial iteration bit for bit,
+        and a second run on the same pool is cold again."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method needs a unix-like platform")
+        g1 = random_graph(45, 180, uniform_labels(45, 5, seed=31),
+                          seed=32)
+        g2 = random_graph(40, 160, uniform_labels(40, 5, seed=33),
+                          seed=34)
+        cfg = FSimConfig(variant=Variant.DP, label_function="indicator",
+                         backend="numpy")
+        serial = FSimEngine(g1, g2, cfg).run()
+        ex = SharedMemoryExecutor(2, min_parallel_upd=1,
+                                  start_method=start_method)
+        try:
+            for _ in range(2):
+                assert_identical(serial,
+                                 FSimEngine(g1, g2, cfg).run(executor=ex))
+            assert ex.pool_started
+        finally:
+            ex.close()
+
     def test_unpicklable_state_falls_back_to_serial(self,
                                                     medium_random_graph):
         """An engine the executor cannot ship degrades to the serial
@@ -366,18 +391,6 @@ class TestConfigPlumbing:
         g = small_random_graph
         with pytest.raises(ConfigError):
             FSimEngine(g, g, FSimConfig()).run(workers=0)
-
-    def test_legacy_shims_still_work(self, medium_random_graph):
-        from repro.core import parallel as legacy
-
-        g = medium_random_graph
-        cfg = FSimConfig(variant=Variant.S, label_function="indicator")
-        engine = FSimEngine(g, g, cfg)
-        serial = engine.run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = legacy.run_parallel(FSimEngine(g, g, cfg), 2)
-        assert_identical(serial, shimmed)
 
 
 # ----------------------------------------------------------------------
@@ -629,3 +642,33 @@ class TestRegistryBounds:
         assert executor_module._CACHE == {}
         assert get_executor("shared_memory", 2) is not ex
         shutdown_executors()
+
+
+# ----------------------------------------------------------------------
+# compiled-arena footprint
+# ----------------------------------------------------------------------
+class TestArenaFootprint:
+    def test_compile_sets_arena_bytes_gauge(self):
+        from repro.core.compile import compile_fsim
+        from repro.obs import metrics
+
+        prior = metrics.enabled()
+        metrics.configure(enabled=True)
+        metrics.REGISTRY.reset()
+        try:
+            g1 = random_graph(45, 180, uniform_labels(45, 5, seed=73),
+                              seed=74)
+            g2 = random_graph(40, 160, uniform_labels(40, 5, seed=75),
+                              seed=76)
+            compiled = compile_fsim(g1, g2, FSimConfig(
+                variant=Variant.DP, label_function="indicator",
+                backend="numpy",
+            ))
+            sizes = compiled.arena_nbytes()
+            assert set(sizes) == {"ram"}
+            gauge = metrics.REGISTRY.get("repro_arena_bytes", kind="ram")
+            assert gauge is not None and gauge.value == float(sizes["ram"])
+            assert gauge.value > 0
+        finally:
+            metrics.REGISTRY.reset()
+            metrics.configure(enabled=prior)

@@ -31,9 +31,19 @@ from repro.exceptions import (
 from repro.graph.digraph import LabeledDigraph
 from repro.graph.generators import random_graph, uniform_labels
 from repro.obs import metrics
-from repro.service import GraphStore, ServerThread, ServiceClient
-from repro.service.client import wire_partners, wire_scores
-from repro.service.server import MAX_REQUEST_LINE, OVERSIZED_OP
+from repro.core import compile as compile_module
+from repro.service import ClientPool, GraphStore, ServerThread, ServiceClient
+from repro.service.client import (
+    ServiceConnectionError,
+    wire_partners,
+    wire_scores,
+)
+from repro.service.server import (
+    INVALID_OP,
+    MAX_REQUEST_LINE,
+    OVERSIZED_OP,
+    UNKNOWN_OP,
+)
 from repro.service.snapshot import (
     graph_fingerprint,
     restore_snapshot,
@@ -261,6 +271,61 @@ class TestServer:
                     client.request("ping", pad="x" * MAX_REQUEST_LINE)
                 assert client.ping() == {"pong": True}
 
+    def test_request_metric_labels_stay_bounded(self):
+        """Client-chosen ops and unparseable lines are answered with a
+        typed error on a live connection and counted under two fixed
+        labels, never one series per distinct op."""
+        def series(name):
+            prefix = name + "{"
+            return {line.split(" ")[0] for line in
+                    metrics.REGISTRY.exposition().splitlines()
+                    if line.startswith(prefix)}
+
+        def count(op):
+            child = metrics.REGISTRY.get("repro_requests_total", op=op)
+            return child.value if child is not None else 0.0
+
+        bogus = [{"id": i, "op": f"bogus-{i}"} for i in range(500)]
+        bogus.append({"id": 500, "op": {"nested": "op"}})
+        lines = [json.dumps(request).encode() for request in bogus]
+        lines += [b"not json", b"[1,2]"]
+        before = {op: count(op) for op in (UNKNOWN_OP, INVALID_OP)}
+        families = ("repro_requests_total", "repro_request_seconds_count")
+        series_before = {name: series(name) for name in families}
+        with ServerThread(GraphStore()) as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10.0) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(b"".join(line + b"\n" for line in lines))
+                replies = [json.loads(reader.readline()) for _ in lines]
+                sock.sendall(b'{"id":"last","op":"ping"}\n')
+                pong = json.loads(reader.readline())
+        assert all(reply["ok"] is False and reply["error"]
+                   for reply in replies)
+        assert pong == {"id": "last", "ok": True,
+                        "result": {"pong": True}}
+        if metrics.enabled():
+            for name in families:  # at most unknown, invalid and ping
+                assert len(series(name) - series_before[name]) <= 3
+            assert count(UNKNOWN_OP) == before[UNKNOWN_OP] + 501
+            assert count(INVALID_OP) == before[INVALID_OP] + 2
+
+    @pytest.mark.parametrize("params", [
+        {"shards": 2},
+        {"workers": 2, "executor": "fork"},
+        {"arena_backend": "memmap"},
+        ["variant", "dp"],
+    ])
+    def test_register_rejects_non_score_params(self, params):
+        with ServerThread(GraphStore()) as server:
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceError, match="param"):
+                    client.register(
+                        "tiny", nodes=[["a", "L"], ["b", "L"]],
+                        edges=[["a", "b"]], params=params,
+                    )
+                assert client.graphs() == []
+
     def test_register_inline_and_query(self):
         with ServerThread(GraphStore()) as server:
             with ServiceClient(port=server.port) as client:
@@ -469,6 +534,73 @@ class TestSnapshots:
         assert pair.session.stats["cold_runs"] == 0
         assert first.scores == warm.scores
         assert first.deltas == warm.deltas
+        fresh.close()
+
+    @pytest.mark.parametrize("layout", ["memmap", "no_trajectory"])
+    def test_snapshot_in_earlier_runtime_layout_restores(
+            self, tmp_path, monkeypatch, layout):
+        """Snapshots written while the config still had ``shards`` /
+        ``arena_backend`` keep restoring: configs carrying those
+        attributes, compiled arenas with a pickled file-backed slab
+        store and memmap slabs, and replay state without a trajectory
+        (a sharded session's).  Scores stay bitwise a cold solve's."""
+        path = tmp_path / "g.snap"
+        config = numpy_config(variant=Variant.DP)
+        store = GraphStore(default_config=config)
+        store.register("g", make_graph())
+        store.fsim("g", "g")
+        object.__setattr__(config, "shards", 2)
+        object.__setattr__(config, "arena_backend", "memmap")
+        session = store.pair("g", "g", config).session
+        compiled = session._compiled
+
+        class SlabStore:
+            def __getstate__(self):
+                return {}
+
+        SlabStore.__module__ = "repro.core.compile"
+        SlabStore.__qualname__ = SlabStore.__name__ = "_SlabStore"
+        if layout == "memmap":
+            structure = compiled.out_term.structures[0]
+            slab = np.memmap(tmp_path / "slab.bin", mode="w+",
+                             dtype=structure.ent_arena.dtype,
+                             shape=structure.ent_arena.shape)
+            slab[:] = structure.ent_arena
+            structure.ent_arena = slab
+            compiled._slab_store = SlabStore()
+        else:
+            session._final = session._trajectory[-1]
+            session._trajectory = None
+        with monkeypatch.context() as patched:
+            patched.setattr(compile_module, "_SlabStore", SlabStore,
+                            raising=False)
+            save_snapshot(store, "g", path)
+        store.close()
+        raw = path.read_bytes()
+        assert b"arena_backend" in raw
+        if layout == "memmap":
+            assert b"_SlabStore" in raw
+
+        served = numpy_config(variant=Variant.DP)
+        fresh = GraphStore(default_config=served)
+        live = make_graph()
+        restore_snapshot(fresh, path, graph=live, config=served)
+        assert fresh.restored_snapshots == 1
+        first = fresh.fsim("g", "g")
+        cold = fsim_matrix(make_graph(), make_graph(), config=served)
+        assert first.scores == cold.scores
+        assert first.deltas == cold.deltas
+        pair = fresh.pair("g", "g", served)
+        assert pair.session.stats["cold_runs"] == 0
+        assert not hasattr(pair.session._compiled, "_slab_store")
+        edge = next(iter(live.edges()))
+        fresh.mutate("g", [DeltaOp("remove_edge", *edge)])
+        edited = make_graph()
+        edited.remove_edge(*edge)
+        after = fresh.fsim("g", "g")
+        cold = fsim_matrix(edited, edited, config=served)
+        assert after.scores == cold.scores
+        assert after.deltas == cold.deltas
         fresh.close()
 
     def test_stale_snapshot_is_rejected(self, tmp_path):
@@ -685,3 +817,41 @@ class TestCli:
         ])
         assert args.handler.__name__ == "_cmd_serve"
         assert args.graph == ["g=/tmp/g.txt"]
+
+
+# ----------------------------------------------------------------------
+# ClientPool (extracted from bench_service)
+# ----------------------------------------------------------------------
+class TestClientPool:
+    def test_pool_opens_wraps_and_closes(self):
+        with ServerThread(GraphStore()) as server:
+            with ClientPool(server.port, 3) as pool:
+                assert len(pool) == 3
+                assert len(set(map(id, pool))) == 3  # distinct sockets
+                assert pool.client(0) is pool.client(3)  # wraparound
+                assert pool.client(2) is pool.clients[2]
+                for client in pool:
+                    assert client.ping()["pong"] is True
+            # close() drained the pool and is idempotent
+            assert len(pool) == 0
+            pool.close()
+
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            ClientPool(12345, 0)
+
+    def test_connect_failure_propagates(self):
+        # A bound-but-closed ephemeral port: nothing is listening.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        with pytest.raises(ServiceConnectionError):
+            ClientPool(port, 2, timeout=2.0)
+
+    def test_forwards_client_kwargs(self):
+        with ServerThread(GraphStore()) as server:
+            with ClientPool(server.port, 2, tracing=True) as pool:
+                pool.client(0).graphs()  # ping is deliberately untraced
+                assert pool.client(0).last_trace_id is not None
+                assert pool.client(1).last_trace_id is None
