@@ -1,26 +1,26 @@
-"""Per-worker scaling of the unified executor runtime (Figure 9a).
+"""Per-worker scaling of the parallel runtime (Figure 9a).
 
 The paper's Section 3.4 observation -- iteration k reads only iteration
 k-1 scores, so pair updates parallelize without conflicts -- is served
-by :mod:`repro.runtime`: the ``SharedMemoryExecutor`` keeps one
-persistent worker pool and double-buffers each sweep through
-``multiprocessing.shared_memory``, shipping only pair-id range
-descriptors per sweep.  This benchmark measures that runtime on the
-Figure-9 workload (FSimbj{ub, theta=1} over the NELL / ACMCit emulators,
-densified like ``bench_backend_speedup.py``):
+by :mod:`repro.runtime`: ``FSimEngine.run(workers=w)`` with ``w > 1``
+forks a pool for the run and shards every large sweep's dirty pairs
+across it.  This benchmark times that public entry point on the
+Figure-9 workload (FSimbj{ub, theta=1} over the NELL / ACMCit
+emulators, densified like ``bench_backend_speedup.py``):
 
-- **serial**: the in-process vectorized loop (the baseline every
-  executor must reproduce bit for bit);
-- **per worker count**: the same loop with sweeps sharded over the
-  shared-memory executor, timed twice -- the first run pays the pool
-  spawn, the repeat run shows the steady state a long-lived service
-  sees (one pool across queries).
+- **serial**: ``run(workers=1)``, the baseline every worker count must
+  reproduce bit for bit;
+- **per worker count**: ``run(workers=w)``, end to end -- compile
+  (serial in every case), the pool fork and the sharded sweeps.
 
-Scores, iteration counts and per-iteration deltas are asserted
-**bitwise identical** to serial for every measured configuration; the
-speedup claim is gated only on machines with >= 2 cores (a single-core
-container can only measure dispatch overhead, which is recorded
-honestly).
+Each cell is the median of ``ROUNDS`` runs after one untimed warm-up
+(plan lowering is cached per graph), split into the ``engine.compile``
+and ``engine.iterate`` phases.  Scores, iteration counts and
+per-iteration deltas are asserted **bitwise identical** to serial for
+every measured cell, and each parallel cell must have forked a pool, so
+a silent serial fallback cannot pass.  A worker count slower than
+serial is recorded as a ``loss``.  The speedup gate applies only to
+manual runs on machines with >= 2 cores.
 
 Writes ``BENCH_parallel.json``.  Run standalone:
 
@@ -30,45 +30,43 @@ Writes ``BENCH_parallel.json``.  Run standalone:
 from __future__ import annotations
 
 import json
-import os
 import pathlib
+import statistics
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT):  # allow standalone execution
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
-from repro.core.compile import compile_fsim  # noqa: E402
+from fsimbench.common import environment  # noqa: E402
 from repro.core.config import FSimConfig  # noqa: E402
-from repro.core.plan import clear_plan_caches  # noqa: E402
-from repro.core.vectorized import VectorizedFSimEngine  # noqa: E402
+from repro.core.engine import FSimEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.graph.noise import densify  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    SharedMemoryExecutor,
-    preferred_start_method,
-)
+from repro.obs.profiling import PhaseProfile, profiled  # noqa: E402
+from repro.runtime import ForkExecutor, fork_available  # noqa: E402
 from repro.simulation import Variant  # noqa: E402
 
 RESULT_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 #: (dataset, density factor) -- the Figure-9 ladder; the last row is the
-#: headline workload (arena of ~18k updatable pairs per sweep).
+#: headline workload (fig9-acmcit-x5 in fsimbench).
 WORKLOADS = (
     ("nell", 10),
     ("acmcit", 5),
 )
 
-ROUNDS = 2
+ROUNDS = 3
 
-#: Required steady-state speedup at the best worker count on the
+#: Required end-to-end speedup at the best worker count on the
 #: headline workload -- only enforced on multi-core machines.
 SPEEDUP_GATE = 1.2
 
 
 def default_worker_counts():
-    cores = os.cpu_count() or 1
+    cores = environment()["nproc"] or 1
     counts = [c for c in (2, 4, 8) if c <= max(cores, 2)]
     return counts or [2]
 
@@ -84,76 +82,82 @@ def _workload_graph(name: str, factor: int, seed: int = 0):
     return base if factor == 1 else densify(base, float(factor), seed)
 
 
-def _time_iterate(vectorized, sweep=None, rounds: int = ROUNDS):
-    best = float("inf")
-    outcome = None
+def _time_runs(graph, workers: int, rounds: int):
+    """Median wall clock and phase split of ``rounds`` runs, the last
+    result, and the number of pools the runs forked."""
+    config = _config()
+    FSimEngine(graph, graph, config).run(workers=workers)  # warm-up
+    pools_before = ForkExecutor.pools_created
+    walls, compiles, iterates = [], [], []
+    result = None
     for _ in range(rounds):
+        profile = PhaseProfile()
         start = time.perf_counter()
-        outcome = vectorized.iterate(sweep=sweep)
-        best = min(best, time.perf_counter() - start)
-    return best, outcome
+        with profiled(profile):
+            result = FSimEngine(graph, graph, config).run(workers=workers)
+        walls.append(time.perf_counter() - start)
+        phases = profile.snapshot()
+        compiles.append(phases["engine.compile"]["total"])
+        iterates.append(phases["engine.iterate"]["total"])
+    timing = {
+        "seconds": round(statistics.median(walls), 4),
+        "compile_seconds": round(statistics.median(compiles), 4),
+        "iterate_seconds": round(statistics.median(iterates), 4),
+    }
+    return timing, result, ForkExecutor.pools_created - pools_before
 
 
 def run_workload(name: str, factor: int, worker_counts=None,
                  rounds: int = ROUNDS) -> dict:
-    import numpy as np
-
     worker_counts = worker_counts or default_worker_counts()
-    clear_plan_caches()
     graph = _workload_graph(name, factor)
-    compiled = compile_fsim(graph, graph, _config())
-    vectorized = VectorizedFSimEngine(compiled)
-    serial_seconds, serial = _time_iterate(vectorized, rounds=rounds)
-    serial_scores, serial_iters, _, serial_deltas = serial
+    serial_timing, serial, _ = _time_runs(graph, 1, rounds)
     row = {
         "workload": f"{name} x{factor}, FSimbj{{ub, theta=1}}",
-        "updatable_pairs": int(compiled.num_updatable),
-        "iterations": int(serial_iters),
-        "serial_seconds": round(serial_seconds, 4),
+        "candidate_pairs": int(serial.num_candidates),
+        "iterations": int(serial.iterations),
+        "serial": serial_timing,
         "workers": {},
     }
     for workers in worker_counts:
-        executor = SharedMemoryExecutor(workers)
-        try:
-            with executor.sweep_session(vectorized) as sweep:
-                # First run pays the pool spawn; the repeat run is the
-                # steady state of a persistent service.
-                cold_start = time.perf_counter()
-                vectorized.iterate(sweep=sweep)
-                cold_seconds = time.perf_counter() - cold_start
-                warm_seconds, outcome = _time_iterate(
-                    vectorized, sweep=sweep, rounds=rounds
-                )
-            scores, iterations, _, deltas = outcome
-            assert np.array_equal(scores, serial_scores), (
-                f"{name} x{factor}: parallel scores diverge at "
-                f"workers={workers}"
-            )
-            assert iterations == serial_iters
-            assert deltas == serial_deltas
-            row["workers"][str(workers)] = {
-                "first_run_seconds": round(cold_seconds, 4),
-                "steady_seconds": round(warm_seconds, 4),
-                "speedup_vs_serial": round(serial_seconds / warm_seconds, 2),
-                "bitwise_identical": True,
-            }
-        finally:
-            executor.close()
+        timing, result, pools = _time_runs(graph, workers, rounds)
+        assert result.scores == serial.scores, (
+            f"{name} x{factor}: parallel scores diverge at "
+            f"workers={workers}"
+        )
+        assert result.iterations == serial.iterations
+        assert result.deltas == serial.deltas
+        assert pools >= rounds, (
+            f"{name} x{factor}: workers={workers} forked {pools} pools "
+            f"in {rounds} runs (ran serially)"
+        )
+        speedup = serial_timing["seconds"] / timing["seconds"]
+        row["workers"][str(workers)] = dict(
+            timing,
+            speedup_vs_serial=round(speedup, 2),
+            outcome="win" if speedup > 1.0 else "loss",
+            bitwise_identical=True,
+        )
     return row
 
 
 def run_benchmark(workloads=WORKLOADS, worker_counts=None,
                   rounds: int = ROUNDS) -> dict:
-    report = {
-        "cpu_count": os.cpu_count(),
-        "start_method": preferred_start_method(),
+    if not fork_available():
+        raise SystemExit("bench_parallel needs the fork start method")
+    stamp = environment()
+    return {
+        "cpu_count": stamp["nproc"],
+        "environment": stamp,
+        "rounds": rounds,
         "note": (
-            "bitwise parity vs serial is asserted for every cell; the "
-            f"speedup gate (>= {SPEEDUP_GATE}x at the best worker count "
-            "on acmcit_x5) applies to manual runs on dedicated "
-            "multi-core machines -- CI records scaling with --no-gate "
-            "(shared runners are too noisy for wall-clock thresholds), "
-            "single-core machines record dispatch overhead honestly"
+            "end-to-end FSimEngine.run(workers=w), median of the rounds "
+            "after one warm-up; bitwise parity vs serial and a forked "
+            "pool are asserted for every cell; a cell slower than "
+            f"serial is a loss.  The speedup gate (>= {SPEEDUP_GATE}x "
+            "at the best worker count on acmcit_x5) applies to manual "
+            "runs on multi-core machines -- CI records scaling with "
+            "--no-gate"
         ),
         "workloads": {
             f"{name}_x{factor}": run_workload(
@@ -162,26 +166,28 @@ def run_benchmark(workloads=WORKLOADS, worker_counts=None,
             for name, factor in workloads
         },
     }
-    return report
 
 
 def render(report: dict) -> str:
     lines = [
-        "== Parallel sweep scaling on the shared-memory runtime "
-        f"(cpus={report['cpu_count']}, "
-        f"start={report['start_method']}) =="
+        "== Parallel scaling of FSimEngine.run(workers=w) "
+        f"(cpus={report['cpu_count']}) =="
     ]
     for key, row in report["workloads"].items():
+        serial = row["serial"]
         lines.append(
-            f"{key:>12}: {row['updatable_pairs']} updatable pairs, "
-            f"serial {row['serial_seconds']:.3f}s "
-            f"({row['iterations']} iterations)"
+            f"{key:>12}: {row['candidate_pairs']} candidate pairs, "
+            f"serial {serial['seconds']:.3f}s (compile "
+            f"{serial['compile_seconds']:.3f}s, iterate "
+            f"{serial['iterate_seconds']:.3f}s, {row['iterations']} "
+            "iterations)"
         )
         for workers, cell in row["workers"].items():
             lines.append(
-                f"{'':>12}  w={workers}: steady {cell['steady_seconds']:>7.3f}s "
-                f"({cell['speedup_vs_serial']:>5.2f}x, first run "
-                f"{cell['first_run_seconds']:.3f}s, bitwise identical)"
+                f"{'':>12}  w={workers}: {cell['seconds']:>7.3f}s "
+                f"(iterate {cell['iterate_seconds']:.3f}s, "
+                f"{cell['speedup_vs_serial']:>5.2f}x, {cell['outcome']}, "
+                "bitwise identical)"
             )
     return "\n".join(lines)
 
@@ -216,19 +222,20 @@ def main(argv=None) -> int:
     print(render(report))
     write_report(report)
     print(f"wrote {RESULT_PATH}")
-    cores = report["cpu_count"] or 1
     if args.no_gate:
         print("speedup gate disabled (--no-gate); parity was asserted")
         return 0
-    if cores < 2:
-        print("single-core machine: speedup gate skipped "
-              "(dispatch overhead recorded honestly)")
+    if (report["cpu_count"] or 1) < 2:
+        print("single-core machine: speedup gate skipped")
         return 0
     headline = report["workloads"]["acmcit_x5"]
     best = max(
         cell["speedup_vs_serial"] for cell in headline["workers"].values()
     )
-    return 0 if best >= SPEEDUP_GATE else 1
+    if best < SPEEDUP_GATE:
+        print(f"speedup gate failed: best {best:.2f}x < {SPEEDUP_GATE}x")
+        return 1
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.config import EXECUTOR_KINDS
 from repro.simulation.base import Variant
 
 
@@ -87,7 +86,6 @@ def _cmd_fsim(args) -> int:
         theta=args.theta,
         label_function=args.label_function,
         workers=args.workers,
-        executor=args.executor,
         backend=args.backend,
     )
     print(
@@ -115,7 +113,7 @@ def _cmd_topk(args) -> int:
         backend=args.backend,
     )
     results = TopKSearch(graph1, graph2, config).search_many(
-        args.query, args.k, workers=args.workers, executor=args.executor,
+        args.query, args.k, workers=args.workers,
     )
     for result in results:
         status = "certified" if result.certified else "best-effort"
@@ -150,8 +148,7 @@ def _cmd_stream(args) -> int:
     with open(args.script, "r", encoding="utf-8") as handle:
         script = parse_edit_script(handle)
     session = IncrementalFSim(
-        graph1, graph2, config, mode=args.mode,
-        workers=args.workers, executor=args.executor,
+        graph1, graph2, config, mode=args.mode, workers=args.workers,
     )
     start = time.perf_counter()
     result = session.compute()
@@ -227,11 +224,7 @@ def _cmd_serve(args) -> int:
         label_function=args.label_function,
         backend=args.backend,
     )
-    store = GraphStore(
-        default_config=config,
-        workers=args.workers,
-        executor=args.executor,
-    )
+    store = GraphStore(default_config=config)
     if args.wal_dir:
         from repro.service import recover_store
         from repro.service.wal import FaultInjector
@@ -737,11 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fsim.add_argument("--theta", type=float, default=0.0)
     fsim.add_argument("--label-function", default="jaro_winkler")
-    fsim.add_argument("--workers", type=int, default=None)
     fsim.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
+        "--workers", type=int, default=None,
+        help="worker processes (a forked pool; serial where fork is "
+             "unavailable)",
     )
     fsim.add_argument(
         "--backend", choices=["auto", "python", "numpy"], default="auto",
@@ -770,11 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["auto", "python", "numpy"], default="auto",
         help="compute backend (auto = vectorized engine when expressible)",
     )
-    topk.add_argument("--workers", type=int, default=None)
     topk.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
+        "--workers", type=int, default=None,
+        help="worker processes (a forked pool; serial where fork is "
+             "unavailable)",
     )
     topk.set_defaults(handler=_cmd_topk)
 
@@ -802,11 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--theta", type=float, default=0.0)
     stream.add_argument("--label-function", default="jaro_winkler")
-    stream.add_argument("--workers", type=int, default=None)
     stream.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
+        "--workers", type=int, default=None,
+        help="worker processes (a forked pool; serial where fork is "
+             "unavailable)",
     )
     stream.add_argument("--top", type=int, default=10, help="pairs to print")
     stream.set_defaults(handler=_cmd_stream)
@@ -846,11 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", choices=["auto", "python", "numpy"], default="numpy",
         help="default compute backend for registered graphs",
-    )
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument(
-        "--executor", choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime for the resident sessions",
     )
     serve.add_argument(
         "--snapshot-dir", default=None,

@@ -16,7 +16,6 @@ def fsim_matrix(
     variant: Variant = Variant.S,
     config: Optional[FSimConfig] = None,
     workers: Optional[int] = None,
-    executor=None,
     **overrides,
 ) -> FSimResult:
     """Compute FSim_chi scores for all candidate pairs across two graphs.
@@ -40,9 +39,7 @@ def fsim_matrix(
     """
     if config is None:
         config = FSimConfig(variant=Variant(variant), **overrides)
-    return FSimEngine(graph1, graph2, config).run(
-        workers=workers, executor=executor
-    )
+    return FSimEngine(graph1, graph2, config).run(workers=workers)
 
 
 def fsim(
@@ -70,7 +67,6 @@ def fsim_matrix_many(
     variant: Variant = Variant.S,
     config: Optional[FSimConfig] = None,
     workers: Optional[int] = None,
-    executor=None,
     **overrides,
 ) -> List[FSimResult]:
     """FSim scores of many query graphs against one shared data graph.
@@ -80,12 +76,11 @@ def fsim_matrix_many(
     data graph is lowered **once** through the plan cache of
     :mod:`repro.core.plan` and every query's compilation reuses it, so
     per-query cost collapses to the query-specific arena assembly plus
-    iteration.  ``workers > 1`` shards *whole queries* over the
-    :mod:`repro.runtime` executor (one process computes one query end
-    to end -- contrast with ``fsim_matrix(workers=...)``, which shards
-    pair ranges of a single query); under the fork executor the shared
-    lowering is warmed in the parent first so every worker inherits it
-    copy-on-write.
+    iteration.  ``workers > 1`` shards *whole queries* over a forked
+    :mod:`repro.runtime` pool (one process computes one query end to
+    end -- contrast with ``fsim_matrix(workers=...)``, which shards
+    pair ranges of a single query); the shared lowering is warmed in
+    the parent first so every worker inherits it copy-on-write.
 
     Returns one :class:`FSimResult` per query graph, in input order.
     """
@@ -96,16 +91,12 @@ def fsim_matrix_many(
         from repro.runtime import resolve_executor
         from repro.runtime.driver import run_engines
 
-        resolved = resolve_executor(
-            config, workers, executor, workload="queries"
-        )
-        if resolved.workers > 1:
-            return run_engines(engines, resolved)
+        executor = resolve_executor(config, workers)
+        if executor.workers > 1:
+            return run_engines(engines, executor)
     # Single query (or serial): keep the requested parallelism by
     # sharding pair ranges within each run instead.
-    return [
-        engine.run(workers=workers, executor=executor) for engine in engines
-    ]
+    return [engine.run(workers=workers) for engine in engines]
 
 
 def fsim_single_graph(
@@ -113,12 +104,9 @@ def fsim_single_graph(
     variant: Variant = Variant.B,
     config: Optional[FSimConfig] = None,
     workers: Optional[int] = None,
-    executor=None,
     **overrides,
 ) -> FSimResult:
     """All-pairs FSim scores from a graph to itself (the paper's
     single-graph experiments compute "the FSim scores from the graph to
     itself")."""
-    return fsim_matrix(
-        graph, graph, variant, config, workers, executor, **overrides
-    )
+    return fsim_matrix(graph, graph, variant, config, workers, **overrides)

@@ -20,16 +20,18 @@ Mirrors the paper's knobs:
   integer-indexed engine of :mod:`repro.core.vectorized`), or "auto"
   (numpy when the configuration is expressible and the problem is large
   enough to amortize compilation; see docs/PERF.md);
-- ``workers`` / ``executor`` -- the parallel runtime (Section 3.4 /
-  Figure 9a): how many worker processes share each iteration's pair
-  updates over the one in-RAM compiled arena, and which
-  :mod:`repro.runtime` executor runs them.
+- ``workers`` -- the parallel runtime (Section 3.4 / Figure 9a): how
+  many worker processes share each iteration's pair updates over the
+  one in-RAM compiled arena.  More than one forks a pool per run where
+  the platform forks, and runs serially with a ``RuntimeWarning``
+  elsewhere (see :mod:`repro.runtime`); scores are bitwise identical
+  at every worker count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro.exceptions import ConfigError
@@ -37,9 +39,6 @@ from repro.labels.similarity import LabelSimilarity, get_label_function
 from repro.simulation.base import Variant
 
 Pair = Tuple[Hashable, Hashable]
-
-#: Recognised parallel-runtime executor kinds (see :mod:`repro.runtime`).
-EXECUTOR_KINDS = ("auto", "serial", "fork", "shared_memory")
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,9 @@ class FSimConfig:
     #: engine otherwise), "python"/"numpy" force a specific backend.
     backend: str = "auto"
     #: Worker processes for the parallel runtime (Section 3.4 /
-    #: Figure 9a): 1 = in-process serial.  Per-call ``workers=``
-    #: arguments override this default.
+    #: Figure 9a): 1 = in-process serial, more = a forked pool.
+    #: Per-call ``workers=`` arguments override this default.
     workers: int = 1
-    #: Which :mod:`repro.runtime` executor runs parallel work: "auto"
-    #: (shared-memory runtime for vectorized sweeps, fork inheritance
-    #: for dict engines where the platform forks), "serial", "fork" or
-    #: "shared_memory".  Results are bitwise identical across executors.
-    executor: str = "auto"
 
     def __post_init__(self):
         variant = Variant(self.variant)
@@ -118,11 +112,14 @@ class FSimConfig:
             raise ConfigError("max_iterations must be positive when given")
         if int(self.workers) < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"executor must be one of {EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
+
+    def __setstate__(self, state):
+        # Configs pickled into older snapshots and WAL records may carry
+        # fields since retired (``executor``); restore only live ones.
+        names = {item.name for item in fields(self)}
+        self.__dict__.update(
+            (key, value) for key, value in state.items() if key in names
+        )
 
     @property
     def w_label(self) -> float:

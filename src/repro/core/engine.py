@@ -26,7 +26,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import FSimConfig
 from repro.core.operators import neighbor_term, term_upper_bound
-from repro.exceptions import ConfigError
 from repro.graph.digraph import LabeledDigraph
 from repro.simulation.base import Variant
 
@@ -447,36 +446,24 @@ class FSimEngine:
         )
         return min(max(score, 0.0), 1.0)
 
-    def run(self, workers: Optional[int] = None,
-            executor=None) -> FSimResult:
+    def run(self, workers: Optional[int] = None) -> FSimResult:
         """Run Algorithm 1 to convergence and return the scores.
 
         The computation is dispatched to the backend selected by
         ``config.backend``: the vectorized numpy engine
         (:mod:`repro.core.vectorized`) where expressible, the reference
         loop below otherwise.  ``workers > 1`` distributes each
-        iteration's pair updates over the :mod:`repro.runtime` executor
-        (``executor`` -- a kind name or an
-        :class:`~repro.runtime.executor.Executor` instance -- overrides
-        ``config.executor``).  Parallel results are bitwise identical
-        to serial iteration on both backends.
+        iteration's pair updates over a forked :mod:`repro.runtime`
+        pool.  Parallel results are bitwise identical to serial
+        iteration on both backends.
         """
         from repro.runtime import resolve_executor
 
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be positive, got {workers}")
+        executor = resolve_executor(self.config, workers)
         if self._resolve_backend() == "numpy":
             from repro.core.vectorized import run_vectorized
 
-            return run_vectorized(
-                self,
-                executor=resolve_executor(
-                    self.config, workers, executor, workload="sweep"
-                ),
-            )
+            return run_vectorized(self, executor)
         from repro.runtime.driver import run_reference_engine
 
-        resolved = resolve_executor(
-            self.config, workers, executor, workload="pairs"
-        )
-        return run_reference_engine(self, resolved)
+        return run_reference_engine(self, executor)

@@ -25,7 +25,10 @@ would -- at amortized cost.  Two backends implement the loop (selected
 by ``FSimConfig(backend=...)``, like :meth:`FSimEngine.run`): the
 dict-based reference path below (the semantic ground truth) and the
 compiled vectorized path reusing the plan cache of
-:mod:`repro.core.plan` -- see docs/PERF.md.
+:mod:`repro.core.plan` -- see docs/PERF.md.  ``workers > 1`` shards the
+shared loop's sweeps over one forked :mod:`repro.runtime` pool per
+batch (serially, with a warning, where the platform cannot fork); the
+results are bitwise identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -119,25 +122,22 @@ class TopKSearch:
     # public API
     # ------------------------------------------------------------------
     def search(self, query: Node, k: int,
-               workers: Optional[int] = None,
-               executor=None) -> TopKResult:
+               workers: Optional[int] = None) -> TopKResult:
         """Return the certified top-k partners of ``query``."""
-        return self.search_many([query], k, workers=workers,
-                                executor=executor)[0]
+        return self.search_many([query], k, workers=workers)[0]
 
     def search_many(self, queries: Sequence[Node], k: int,
-                    workers: Optional[int] = None,
-                    executor=None) -> List[TopKResult]:
+                    workers: Optional[int] = None) -> List[TopKResult]:
         """Certified top-k for every query node, from one shared run.
 
         Returns one :class:`TopKResult` per query, in input order.  Each
         result is identical to what a solo :meth:`search` would return:
         the score trajectory does not depend on the query set, and each
         query retires the first iteration its certification criterion
-        holds.  ``workers > 1`` runs the shared iteration loop on the
-        :mod:`repro.runtime` executor (the batch shares one sweep
-        session -- and, with the shared-memory executor, one persistent
-        pool).  Results are bitwise identical to the serial loop.
+        holds.  ``workers > 1`` runs the shared iteration loop on a
+        forked :mod:`repro.runtime` pool (the batch shares one sweep
+        session, so one pool).  Results are bitwise identical to the
+        serial loop.
         """
         from repro.runtime import resolve_executor
 
@@ -149,14 +149,10 @@ class TopKSearch:
                 raise ConfigError(f"query node {query!r} not in graph1")
         if not queries:
             return []
-        config = self.engine.config
+        executor = resolve_executor(self.engine.config, workers)
         if self.engine._resolve_backend() == "numpy":
-            resolved = resolve_executor(config, workers, executor,
-                                        workload="sweep")
-            return self._search_many_numpy(queries, k, resolved)
-        resolved = resolve_executor(config, workers, executor,
-                                    workload="pairs")
-        return self._search_many_python(queries, k, resolved)
+            return self._search_many_numpy(queries, k, executor)
+        return self._search_many_python(queries, k, executor)
 
     # ------------------------------------------------------------------
     # the certification rule (shared by both backends)
@@ -360,9 +356,6 @@ class TopKSearch:
                 if not active:
                     break
                 upd = compiled.dependents(dirty)
-            # Release the last sweep's zero-copy out-buffer view before
-            # the session closes its shared-memory blocks.
-            new_values = None  # noqa: F841
         for position in active:  # iteration budget exhausted: best effort
             query = queries[position]
             values = row_values(query, scores)

@@ -201,18 +201,9 @@ class VectorizedFSimEngine:
     # ------------------------------------------------------------------
     # one synchronous sweep over the dirty pairs
     # ------------------------------------------------------------------
-    def sweep(self, scores: np.ndarray, upd: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+    def sweep(self, scores: np.ndarray, upd: np.ndarray) -> np.ndarray:
         """Equation-3 values of the pairs at positions ``upd`` (reading
-        the pre-sweep ``scores`` only, Jacobi style).
-
-        ``out``, when given, receives the values in place (the
-        shared-memory executor points it at a worker's range of the
-        shared output buffer, so results never cross the process
-        boundary by pickling).  The clamping operations are identical
-        either way -- the out-form is bitwise equal to the returned
-        array.
-        """
+        the pre-sweep ``scores`` only, Jacobi style)."""
         compiled = self.compiled
         cfg = compiled.config
         self._rank_cache = None
@@ -227,12 +218,7 @@ class VectorizedFSimEngine:
             + cfg.w_in * in_vals
             + cfg.w_label * compiled.upd_label[upd]
         )
-        if out is None:
-            return np.minimum(np.maximum(raw, 0.0), 1.0)
-        raw = np.asarray(raw, dtype=np.float64)
-        np.maximum(raw, 0.0, out=raw)
-        np.minimum(raw, 1.0, out=out)
-        return out
+        return np.minimum(np.maximum(raw, 0.0), 1.0)
 
     def _term(self, scores: np.ndarray, upd: np.ndarray,
               term: DirectionTerm) -> np.ndarray:
@@ -452,14 +438,14 @@ class VectorizedFSimEngine:
         return trajectory[iterations], iterations, converged, deltas
 
 
-def run_vectorized(engine, workers: Optional[int] = None, executor=None):
+def run_vectorized(engine, executor=None):
     """Run ``engine``'s computation on the numpy backend.
 
     ``engine`` is a :class:`repro.core.engine.FSimEngine`; the caller has
     already checked :func:`repro.core.engine.vectorized_fallback_reason`.
-    ``executor`` (an :class:`repro.runtime.executor.Executor`, a kind
-    name, or ``None`` to resolve from the config / ``workers``) runs the
-    sweeps; every executor returns the same
+    ``executor`` (an :class:`repro.runtime.executor.Executor`, or
+    ``None`` to resolve one from ``config.workers``) runs the sweeps;
+    every executor returns the same
     :class:`~repro.core.engine.FSimResult` bit for bit.
     """
     from repro.core.engine import FSimResult
@@ -467,10 +453,9 @@ def run_vectorized(engine, workers: Optional[int] = None, executor=None):
 
     compiled = compile_fsim(engine.graph1, engine.graph2, engine.config)
     vectorized = VectorizedFSimEngine(compiled)
-    resolved = resolve_executor(
-        engine.config, workers, executor, workload="sweep"
-    )
-    with resolved.sweep_session(vectorized) as sweep:
+    if executor is None:
+        executor = resolve_executor(engine.config)
+    with executor.sweep_session(vectorized) as sweep:
         scores, iterations, converged, deltas = vectorized.iterate(
             sweep=sweep
         )

@@ -5,19 +5,19 @@
     sees the reward ratio flatten after 8);
 (b) the same configuration while densifying the graphs x1..x50.
 
-Panel (a) runs on the unified executor runtime (:mod:`repro.runtime`):
-the default ``shared_memory`` executor keeps one persistent worker pool
-across all measured worker counts and double-buffers each sweep in
-shared memory, so the measured scaling reflects the paper's
-conflict-free pair updates rather than pool-forking and score-array
-pickling overheads.  ``benchmarks/bench_parallel.py`` records the same
+Panel (a) runs on the unified runtime (:mod:`repro.runtime`): each
+multi-worker solve forks a pool that inherits the compiled arrays
+copy-on-write and shards every large sweep's dirty pairs across it
+(serially, with a ``RuntimeWarning``, where the platform cannot fork).
+Each row therefore includes one pool fork and per-sweep dispatch of
+the score vector.  ``benchmarks/bench_parallel.py`` records the same
 workload machine-readably (``BENCH_parallel.json``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.api import fsim_matrix
 from repro.datasets import load_dataset
@@ -37,14 +37,11 @@ def default_worker_counts() -> Tuple[int, ...]:
 
 def run_workers(
     scale: float = 1.0, seed: int = 0, worker_counts: Tuple[int, ...] = (),
-    executor: Optional[str] = None,
 ) -> ExperimentOutput:
     """Figure 9(a): runtime vs worker count.
 
-    ``executor`` picks the :mod:`repro.runtime` executor kind for the
-    multi-worker rows (default "auto": the shared-memory runtime for
-    vectorized sweeps).  Scores are bitwise identical at every worker
-    count, so only the wall clock varies.
+    Scores are bitwise identical at every worker count, so only the
+    wall clock varies.
     """
     counts = worker_counts or default_worker_counts()
     rows = []
@@ -56,7 +53,6 @@ def run_workers(
             elapsed, _ = timed(
                 fsim_matrix, graph, graph, Variant.BJ,
                 theta=1.0, use_upper_bound=True, workers=workers,
-                executor=executor,
             )
             row.append(fmt(elapsed, 2) + "s")
             data[(name, workers)] = elapsed
@@ -67,8 +63,8 @@ def run_workers(
         rows=rows,
         notes=(
             "Paper: strong gains to 8 threads, flattening beyond "
-            "(scheduling overhead).  Runs on the repro.runtime executor "
-            "(persistent shared-memory pool); small emulator scales pay "
+            "(scheduling overhead).  Each multi-worker run forks one "
+            "repro.runtime pool; small emulator scales pay the fork and "
             "per-sweep dispatch constants."
         ),
         data=data,

@@ -19,8 +19,8 @@ catalog):
   and retired into per-server ring buffers (recent + slow-query log)
   that the ``trace`` op serves;
 - :mod:`repro.obs.profiling` -- :func:`~repro.obs.profiling.phase`
-  timers in the compute layers (plan lowering, compile, iterate,
-  shared-memory broadcast) feeding the phase histogram, the ambient
+  timers in the compute layers (plan lowering, compile, iterate)
+  feeding the phase histogram, the ambient
   trace, and the per-``(graph, config)`` profile in store stats;
 - :mod:`repro.obs.log` -- the one shared structured-logging config:
   ``event=... key=value`` lines with deterministic field order, tied

@@ -7,7 +7,7 @@ samples a configurable fraction of live read requests (fsim / topk /
 matrix) at the store layer, captures the served result plus the graph
 version watermark it was computed at, and re-executes the request off
 the hot path on an **independent configuration** -- the pure-python
-reference backend on the serial executor -- then asserts the score
+reference backend, serially -- then asserts the score
 fingerprints are identical.
 
 Soundness under concurrent mutation rests on the graphs' monotone
@@ -46,7 +46,7 @@ AUDIT_DROPPED = "repro_audit_dropped_total"
 
 #: Config fields forced onto the reference re-execution -- maximally
 #: independent of whatever fast path served the live answer.
-REFERENCE_OVERRIDES = dict(backend="python", workers=1, executor="serial")
+REFERENCE_OVERRIDES = dict(backend="python", workers=1)
 
 
 def fingerprint_scores(scores) -> str:

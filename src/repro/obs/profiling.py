@@ -40,7 +40,7 @@ class PhaseProfile:
 
     One per :class:`~repro.service.store.PairState`; phases observed
     while the profile is active (plan lowering, compile, iterate,
-    shared-memory broadcast, iterations-to-converge) accumulate here
+    iterations-to-converge) accumulate here
     and surface through ``store.stats()``.
     """
 

@@ -9,7 +9,7 @@ These drivers are what the public entry points
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.runtime.executor import Executor, round_robin_shards
 
@@ -18,8 +18,8 @@ def run_reference_engine(engine, executor: Executor):
     """The reference (dict) engine's full iteration on ``executor``.
 
     One loop serves serial and parallel alike: when the executor's pair
-    session declines (serial executor, tiny workload, unpicklable
-    state) each iteration runs the in-process
+    session declines (serial executor, tiny workload) each iteration
+    runs the in-process
     :func:`~repro.core.engine.update_pairs`; otherwise the session's
     ``step`` evaluates the same Jacobi primitive shard-wise in workers.
     Results are bitwise identical either way -- iteration k reads only
@@ -65,18 +65,18 @@ def run_reference_engine(engine, executor: Executor):
     )
 
 
-def run_engines(engines: Sequence, executor: Optional[Executor]) -> List:
+def run_engines(engines: Sequence, executor: Executor) -> List:
     """Run many independent computations, one whole query per task.
 
     Each worker runs ``engine.run(workers=1)`` for its shard and ships
     back the result fields; the parent reattaches its own fallback
     closures.  Falls back to a serial loop when the executor declines
-    (serial executor, tiny batch, unpicklable engines).
+    (serial executor, single query).
     """
     from repro.core.engine import FSimResult
 
     engines = list(engines)
-    raw = executor.run_queries(engines) if executor is not None else None
+    raw = executor.run_queries(engines)
     if raw is None:
         return [engine.run(workers=1) for engine in engines]
     results: List = [None] * len(engines)

@@ -19,46 +19,29 @@ An :class:`Executor` exposes three workload shapes:
     ``(position, scores, iterations, converged, deltas, num_candidates)``
     tuples, or ``None`` to make the caller run serially.
 
-Pools are created **lazily**: a session that never crosses the parallel
-threshold (every sweep's dirty set is tiny) never spawns a process.
-
-The :class:`SharedMemoryExecutor` is the production runtime: one
-persistent pool (reused across queries, top-k batches and streaming
-updates) plus a parent-owned shared-memory arena double-buffering the
-sweep state (scores in, Equation-3 values out).  Per sweep, the only
-task payload is a pair-id range descriptor; workers write results
-directly into the output buffer, so no per-iteration array crosses the
-process boundary in either direction.  Session state (the compiled
-arrays) is broadcast once per session through a pickled shared-memory
-block, which also makes the executor start-method agnostic: it runs
-under ``spawn`` where fork is unavailable.
+There are two executors.  :class:`SerialExecutor` runs everything in
+process; :class:`ForkExecutor` forks a pool per session, so engines and
+compiled arrays reach the workers copy-on-write and nothing but the
+per-sweep score vectors is pickled.  Pools are created **lazily**: a
+session that never crosses the parallel threshold (every sweep's dirty
+set is tiny) never forks a process.
 """
 
 from __future__ import annotations
 
-import atexit
-import copy
 import itertools
 import multiprocessing
-import threading
-import os
-import pickle
-import struct
-import time
 import warnings
-import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.config import EXECUTOR_KINDS
 from repro.core.engine import update_pairs
 from repro.exceptions import ConfigError
 
 #: Sweeps with fewer dirty positions than this never leave the parent
 #: process: per-task dispatch overhead (hundreds of microseconds per
 #: worker) dwarfs the vectorized sweep arithmetic below it.  Also the
-#: pool-spawn gate -- a session whose sweeps all stay below it never
+#: pool-fork gate -- a session whose sweeps all stay below it never
 #: creates a pool at all.
 MIN_PARALLEL_UPD = 1024
 
@@ -67,102 +50,10 @@ MIN_PARALLEL_UPD = 1024
 #: lane, so its break-even sits far lower than MIN_PARALLEL_UPD.
 MIN_PARALLEL_PAIRS = 64
 
-#: Environment override for the pool start method ("fork" / "spawn" /
-#: "forkserver").  CI uses it to exercise the spawn path on Linux.
-START_METHOD_ENV = "REPRO_RUNTIME_START_METHOD"
-
-_HEADER = struct.Struct("<Q")
-
-
-def preferred_start_method() -> str:
-    """The multiprocessing start method the runtime will use."""
-    forced = os.environ.get(START_METHOD_ENV)
-    methods = multiprocessing.get_all_start_methods()
-    if forced:
-        if forced not in methods:
-            raise ConfigError(
-                f"{START_METHOD_ENV}={forced!r} is not a start method on "
-                f"this platform (available: {methods})"
-            )
-        return forced
-    return "fork" if "fork" in methods else "spawn"
-
 
 def fork_available() -> bool:
-    """Whether fork-inheritance executors can run on this platform."""
-    return preferred_start_method() == "fork"
-
-
-def _dumps(payload) -> bytes:
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# ----------------------------------------------------------------------
-# shared-memory plumbing (parent side)
-# ----------------------------------------------------------------------
-class _ParentBuffer:
-    """One parent-owned shared-memory block with a typed flat view."""
-
-    def __init__(self, dtype, capacity: int):
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        self.dtype = np.dtype(dtype)
-        self.capacity = int(capacity)
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=max(self.capacity * self.dtype.itemsize, 1)
-        )
-        self.view = np.frombuffer(
-            self.shm.buf, dtype=self.dtype, count=self.capacity
-        )
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def close(self) -> None:
-        self.view = None  # release the exported memoryview first
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - stray external view
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-class _PayloadBlock:
-    """A pickled session payload published through shared memory.
-
-    Workers attach by name and unpickle once per session; the parent
-    pays one pickle per session instead of one per task (and none per
-    iteration).
-    """
-
-    def __init__(self, payload: bytes, session_id: int):
-        from multiprocessing import shared_memory
-
-        self.session_id = session_id
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=_HEADER.size + len(payload)
-        )
-        self.shm.buf[:_HEADER.size] = _HEADER.pack(len(payload))
-        self.shm.buf[_HEADER.size:_HEADER.size + len(payload)] = payload
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def close(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+    """Whether this platform can fork worker processes."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def round_robin_shards(items: Sequence, workers: int) -> List[list]:
@@ -176,60 +67,6 @@ def round_robin_shards(items: Sequence, workers: int) -> List[list]:
     return [items[index::workers] for index in range(workers)]
 
 
-def _shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, stop)`` ranges like ``np.array_split``."""
-    shards = max(min(shards, total), 1)
-    base, extra = divmod(total, shards)
-    bounds = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def _pairs_below_threshold(shards, executor) -> bool:
-    """Whether a dict-engine workload is too small to leave the parent.
-
-    The pair-session analogue of the sweep threshold: per-iteration
-    dispatch plus pickling the previous-iteration score dict dwarfs a
-    handful of ``update_pair`` calls, and staying serial also keeps the
-    pool from ever spawning.
-    """
-    total = sum(len(shard) for shard in shards)
-    return total < max(executor.workers, executor.min_parallel_pairs)
-
-
-def _transportable_vectorized(vectorized) -> Optional[bytes]:
-    """The pickled sweep-session payload, or ``None`` when unpicklable.
-
-    Workers never call the label / init / filter callables (those are
-    lowered into the compiled arrays), so an unpicklable callable in the
-    config is replaced with a registered name before giving up.
-    """
-    compiled = vectorized.compiled
-    tolerance = float(vectorized.dirty_tolerance)
-    try:
-        return _dumps({"sweep": (compiled, tolerance)})
-    except Exception:
-        pass
-    try:
-        from dataclasses import replace
-
-        clone = copy.copy(compiled)
-        clone.config = replace(
-            compiled.config,
-            label_function="indicator",
-            init_function=None,
-            candidate_filter=None,
-        )
-        return _dumps({"sweep": (clone, tolerance)})
-    except Exception:
-        return None
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -241,187 +78,13 @@ _FORK_SHARED: Dict[int, dict] = {}
 
 _FORK_TOKENS = itertools.count(1)
 
-#: Per-worker cache of shared-memory sessions: (payload name, session
-#: id) -> {"state": unpickled payload, "applied": patch-journal entries
-#: replayed so far}.  A small LRU (rather than the old single slot) so a
-#: service alternating between a few long-lived sessions does not
-#: re-unpickle the broadcast state on every switch.
-_WORKER_SESSIONS: "OrderedDict[tuple, dict]" = OrderedDict()
-
-_WORKER_SESSION_LIMIT = 4
-
-#: Per-worker cache of attached data buffers, keyed by block name.
-_WORKER_BUFFERS: Dict[str, object] = {}
-
-#: Bound on stale buffer attachments kept per worker (growth is rare;
-#: eviction only reclaims fds, correctness never depends on it).
-_WORKER_BUFFER_LIMIT = 12
-
-
-def _attach_block(name: str):
-    shm = _WORKER_BUFFERS.get(name)
-    if shm is None:
-        from multiprocessing import shared_memory
-
-        if len(_WORKER_BUFFERS) >= _WORKER_BUFFER_LIMIT:
-            for stale_name, stale in list(_WORKER_BUFFERS.items()):
-                try:
-                    stale.close()
-                except BufferError:  # pragma: no cover
-                    continue
-                del _WORKER_BUFFERS[stale_name]
-        # Worker-side attachments re-register with the (shared) resource
-        # tracker; that is idempotent -- the parent's unlink at close
-        # time unregisters the name exactly once.
-        shm = shared_memory.SharedMemory(name=name)
-        _WORKER_BUFFERS[name] = shm
-    return shm
-
-
-def _read_payload(payload_name: str):
-    """Unpickle one published payload block (uncached)."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=payload_name)
-    try:
-        (length,) = _HEADER.unpack_from(shm.buf, 0)
-        return pickle.loads(
-            bytes(shm.buf[_HEADER.size:_HEADER.size + length])
-        )
-    finally:
-        shm.close()
-
-
-def _load_session(payload_name: str, session_id: int):
-    """The unpickled session state, cached per worker per session."""
-    key = (payload_name, session_id)
-    entry = _WORKER_SESSIONS.get(key)
-    if entry is None:
-        entry = {"state": _read_payload(payload_name), "applied": 0}
-        while len(_WORKER_SESSIONS) >= _WORKER_SESSION_LIMIT:
-            _WORKER_SESSIONS.popitem(last=False)
-        _WORKER_SESSIONS[key] = entry
-    else:
-        _WORKER_SESSIONS.move_to_end(key)
-    return entry
-
-
-def _replay_patch_journal(entry: dict, delta_name: str,
-                          journal_len: int) -> None:
-    """Bring a cached sweep session up to date with the parent's patches.
-
-    The parent broadcasts the full compiled state once per channel and
-    then ships only the recorded graph deltas (see :class:`SweepChannel`).
-    Replaying ``patch_plan`` + ``patch_compiled_edges`` on the worker's
-    cached copy is deterministic, so after the replay the worker holds
-    arrays identical to the parent's -- at O(delta) broadcast cost.
-    """
-    if journal_len <= entry["applied"]:
-        return
-    from repro.core.plan import patch_plan
-    from repro.streaming.delta import Delta
-    from repro.streaming.patch import patch_compiled_edges
-
-    journal = _read_payload(delta_name)["journal"]
-    compiled, _tolerance = entry["state"]["sweep"]
-    for ops1, ops2, selfsim in journal[entry["applied"]:journal_len]:
-        plan1 = (patch_plan(compiled.plan1, _as_ops(ops1))
-                 if ops1 else compiled.plan1)
-        if selfsim:
-            plan2 = plan1
-        else:
-            plan2 = (patch_plan(compiled.plan2, _as_ops(ops2))
-                     if ops2 else compiled.plan2)
-        delta1 = Delta(_as_ops(ops1), 0, len(ops1))
-        delta2 = delta1 if selfsim else Delta(_as_ops(ops2), 0, len(ops2))
-        patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
-    entry["applied"] = journal_len
-    # The engine caches per-structure state keyed on the pre-patch
-    # structures -- rebuild it from the patched compiled instance.
-    entry["state"].pop("engine", None)
-
-
-def _as_ops(raw) -> tuple:
-    from repro.streaming.delta import DeltaOp
-
-    return tuple(DeltaOp(*fields) for fields in raw)
-
-
-def _shm_sweep_worker(task) -> None:
-    """Sweep one pair-id range, writing into the shared output buffer."""
-    (payload_name, session_id, delta_name, journal_len,
-     scores_name, scores_cap, upd_name, upd_cap,
-     out_name, out_cap, scores_len, upd_len, start, stop) = task
-    import numpy as np
-
-    entry = _load_session(payload_name, session_id)
-    _replay_patch_journal(entry, delta_name, journal_len)
-    state = entry["state"]
-    engine = state.get("engine")
-    if engine is None:
-        from repro.core.vectorized import VectorizedFSimEngine
-
-        compiled, tolerance = state["sweep"]
-        engine = VectorizedFSimEngine(compiled, tolerance)
-        state["engine"] = engine
-    scores = np.frombuffer(
-        _attach_block(scores_name).buf, dtype=np.float64, count=scores_cap
-    )[:scores_len]
-    upd = np.frombuffer(
-        _attach_block(upd_name).buf, dtype=np.int64, count=upd_cap
-    )[:upd_len]
-    out = np.frombuffer(
-        _attach_block(out_name).buf, dtype=np.float64, count=out_cap
-    )
-    engine.sweep(scores, upd[start:stop], out=out[start:stop])
-
-
-def _shm_pair_worker(task) -> Tuple[dict, float]:
-    payload_name, session_id, shard_index, prev_name = task
-    state = _load_session(payload_name, session_id)["state"]
-    engine, shards = state["pairs"]
-    # prev travels through its own per-iteration block (pickled once by
-    # the parent, not once per task); read uncached so it never evicts
-    # the session state above.
-    prev = _read_payload(prev_name)
-    return update_pairs(engine, shards[shard_index], prev)
-
-
-def _query_result_row(engine, position: int) -> tuple:
-    result = engine.run(workers=1)
-    # The fallback callable is a bound method of the worker's engine
-    # copy; the parent reattaches its own instead of pickling it.
-    return (
-        position, result.scores, result.iterations, result.converged,
-        result.deltas, result.num_candidates,
-    )
-
-
-def _run_query_positions(engines, positions) -> List[tuple]:
-    return [_query_result_row(engines[position], position)
-            for position in positions]
-
-
-def _shm_query_worker(task) -> List[tuple]:
-    payload_name, session_id = task
-    state = _load_session(payload_name, session_id)["state"]
-    shard_engines, positions = state["query_shard"]
-    return [_query_result_row(engine, position)
-            for engine, position in zip(shard_engines, positions)]
-
-
-def _drop_worker_session(_=None) -> None:
-    """Release this worker's cached session state (see
-    ``SharedMemoryExecutor._release_worker_state``)."""
-    _WORKER_SESSIONS.clear()
-
 
 def _fork_sweep_worker(args):
     token, scores, upd = args
     return _FORK_SHARED[token]["vectorized"].sweep(scores, upd)
 
 
-def _fork_pair_worker(args) -> Tuple[dict, float]:
+def _fork_pair_worker(args):
     token, shard_index, prev = args
     state = _FORK_SHARED[token]
     return update_pairs(state["engine"], state["shards"][shard_index], prev)
@@ -430,204 +93,33 @@ def _fork_pair_worker(args) -> Tuple[dict, float]:
 def _fork_query_worker(args) -> List[tuple]:
     token, shard_index = args
     state = _FORK_SHARED[token]
-    return _run_query_positions(
-        state["engines"], state["query_shards"][shard_index]
-    )
-
-
-# ----------------------------------------------------------------------
-# persistent broadcast channels (streaming sessions)
-# ----------------------------------------------------------------------
-#: Patches accumulated on a channel before the next parallel sweep
-#: re-broadcasts the full state instead (bounds both the cumulative
-#: delta payload and the worker-side replay chain; amortized cost per
-#: update stays O(delta) + O(full)/budget).
-CHANNEL_JOURNAL_BUDGET = 64
-
-
-class SweepChannel:
-    """Persistent broadcast state for one long-lived compiled session.
-
-    A streaming session (:class:`repro.streaming.session.IncrementalFSim`)
-    patches its compiled instance *in place* between computes; without a
-    channel, every parallel compute re-published the full compiled
-    arrays to the worker pool -- O(graph) per update where the update
-    itself is O(delta).  A channel keeps the first full broadcast alive
-    across computes and ships only the recorded graph deltas
-    (:meth:`record_patch`); workers replay the same deterministic
-    ``patch_plan`` + ``patch_compiled_edges`` surgery on their cached
-    copy, so their state stays identical to the parent's while the
-    per-update broadcast is O(delta) bytes.
-
-    A channel is owned by exactly one session object (its computes are
-    serial); the executor tracks channels weakly and closes them with
-    the pool.  :attr:`broadcast_bytes` / :attr:`last_broadcast_bytes`
-    expose the wire cost for the O(delta) regression test.
-    """
-
-    def __init__(self, executor: "SharedMemoryExecutor"):
-        self._executor = executor
-        self._base_block: Optional[_PayloadBlock] = None
-        self._delta_block: Optional[_PayloadBlock] = None
-        self._journal: List[tuple] = []
-        self._published = 0
-        self._compiled_ref = None  # weakref to the broadcast instance
-        self._tolerance: Optional[float] = None
-        self._buffers = None
-        self._buffer_caps = None
-        self.closed = False
-        self.broadcast_bytes = 0
-        self.last_broadcast_bytes = 0
-        self.base_broadcasts = 0
-        self.delta_broadcasts = 0
-
-    # -- session-facing API -------------------------------------------
-    def record_patch(self, delta1, delta2, selfsim: bool) -> None:
-        """Record one successful in-place compiled patch for replay.
-
-        Call after ``patch_compiled_edges`` succeeded on the parent's
-        instance; ``delta1`` / ``delta2`` are the drained
-        :class:`~repro.streaming.delta.Delta` objects the patch applied
-        (``selfsim`` when both sides are the same graph).
-        """
-        if self.closed or self._base_block is None:
-            # Nothing broadcast yet: the next base broadcast pickles the
-            # already-patched state, so there is nothing to replay.
-            return
-        if len(self._journal) >= CHANNEL_JOURNAL_BUDGET:
-            self.invalidate()
-            return
-        self._journal.append((
-            tuple(tuple(op) for op in delta1.ops),
-            tuple(tuple(op) for op in delta2.ops),
-            bool(selfsim),
+    rows = []
+    for position in state["query_shards"][shard_index]:
+        result = state["engines"][position].run(workers=1)
+        # The fallback callable is a bound method of the worker's engine
+        # copy; the parent reattaches its own instead of pickling it.
+        rows.append((
+            position, result.scores, result.iterations, result.converged,
+            result.deltas, result.num_candidates,
         ))
-
-    def invalidate(self) -> None:
-        """Drop the broadcast state (full recompile, unsupported delta):
-        the next parallel sweep re-broadcasts the full payload."""
-        if self._base_block is not None:
-            self._base_block.close()
-            self._base_block = None
-        if self._delta_block is not None:
-            self._delta_block.close()
-            self._delta_block = None
-        self._journal = []
-        self._published = 0
-        self._compiled_ref = None
-        self._tolerance = None
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.invalidate()
-        if self._buffers is not None:
-            for buffer in self._buffers:
-                buffer.close()
-            self._buffers = None
-        self.closed = True
-
-    # -- executor-facing plumbing -------------------------------------
-    def _ensure_broadcast(self, vectorized):
-        """The (base block, (delta name, journal length)) for this sweep.
-
-        Returns ``(None, ...)`` when the state is unpicklable (the
-        caller stays serial).  Publishes the base payload on first use
-        or after an invalidation; publishes a fresh cumulative delta
-        block whenever the journal grew past what was last shipped.
-        """
-        compiled = vectorized.compiled
-        tolerance = float(vectorized.dirty_tolerance)
-        if (self._base_block is not None
-                and ((self._compiled_ref() if self._compiled_ref is not None
-                      else None) is not compiled
-                     or self._tolerance != tolerance)):
-            # The session recompiled into a new instance out-of-band.
-            self.invalidate()
-        if self._base_block is None:
-            payload = _transportable_vectorized(vectorized)
-            if payload is None:
-                return None, ("", 0)
-            self._base_block = self._executor._publish(payload)
-            self._compiled_ref = weakref.ref(compiled)
-            self._tolerance = tolerance
-            self._journal = []
-            self._published = 0
-            self.base_broadcasts += 1
-            self.last_broadcast_bytes = len(payload)
-            self.broadcast_bytes += len(payload)
-        if len(self._journal) > self._published:
-            try:
-                payload = _dumps({"journal": list(self._journal)})
-            except Exception:
-                # Unpicklable delta operands: fall back to a fresh base.
-                self.invalidate()
-                return self._ensure_broadcast(vectorized)
-            block = _PayloadBlock(payload, self._base_block.session_id)
-            if self._delta_block is not None:
-                self._delta_block.close()
-            self._delta_block = block
-            self._published = len(self._journal)
-            self.delta_broadcasts += 1
-            self.last_broadcast_bytes = len(payload)
-            self.broadcast_bytes += len(payload)
-        if self._delta_block is None:
-            return self._base_block, ("", 0)
-        return self._base_block, (self._delta_block.name, self._published)
-
-    def _ensure_buffers(self, num_feasible: int, num_updatable: int):
-        import numpy as np
-
-        caps = (num_feasible, num_updatable)
-        if self._buffers is not None and self._buffer_caps != caps:
-            for buffer in self._buffers:
-                buffer.close()
-            self._buffers = None
-        if self._buffers is None:
-            self._buffers = (
-                _ParentBuffer(np.float64, num_feasible),
-                _ParentBuffer(np.int64, num_updatable),
-                _ParentBuffer(np.float64, num_updatable),
-            )
-            self._buffer_caps = caps
-        return self._buffers
+    return rows
 
 
 # ----------------------------------------------------------------------
 # executors
 # ----------------------------------------------------------------------
 class Executor:
-    """Serial base protocol; parallel executors override the sessions.
+    """Serial base protocol; the fork executor overrides the sessions.
 
     Every session degrades to ``None`` (= caller runs its own serial
-    path) rather than failing: unpicklable state, empty workloads and
-    platform limitations all fall back gracefully.
+    path) rather than failing, so callers keep one loop for both.
     """
 
-    kind = "serial"
     workers = 1
-    #: Sessions currently inside a ``*_session`` / ``run_queries`` body
-    #: (idle-eviction guard for the bounded registry).  Updated under
-    #: ``_SESSION_COUNT_LOCK`` -- concurrent service threads share one
-    #: cached executor, and a lost ``+= 1`` would make a busy pool look
-    #: idle to the eviction scan.
-    active_sessions = 0
-    #: ``time.monotonic()`` of the last session start.  Parallel
-    #: executors stamp it at construction too, so a just-created,
-    #: never-used executor is not "infinitely idle" to eviction.
-    last_used = 0.0
-
-    def _touch(self) -> None:
-        self.last_used = time.monotonic()
 
     @contextmanager
-    def sweep_session(self, vectorized, channel: "Optional[SweepChannel]" = None):
-        """Yield a parallel ``sweep(scores, upd)`` or ``None``.
-
-        ``channel`` (shared-memory executor only) carries the persistent
-        broadcast state of a long-lived streaming session; other
-        executors ignore it.
-        """
+    def sweep_session(self, vectorized):
+        """Yield a parallel ``sweep(scores, upd)`` or ``None``."""
         yield None
 
     @contextmanager
@@ -639,32 +131,8 @@ class Executor:
         """Whole-query sharding; ``None`` = caller runs serially."""
         return None
 
-    def open_channel(self) -> "Optional[SweepChannel]":
-        """A persistent sweep broadcast channel, or ``None`` when this
-        executor has no cross-session state to reuse."""
-        return None
-
-    @contextmanager
-    def _track(self):
-        """Session accounting for the bounded registry (idle detection)."""
-        with _SESSION_COUNT_LOCK:
-            self._touch()
-            self.active_sessions += 1
-        try:
-            yield
-        finally:
-            with _SESSION_COUNT_LOCK:
-                self.active_sessions -= 1
-
-    def close(self) -> None:
-        pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} workers={self.workers}>"
-
-
-#: Guards active_sessions updates (see Executor.active_sessions).
-_SESSION_COUNT_LOCK = threading.Lock()
 
 
 class SerialExecutor(Executor):
@@ -675,41 +143,35 @@ class ForkExecutor(Executor):
     """A pool forked per session, state inherited copy-on-write.
 
     Nothing is pickled on the way in (engines and compiled arrays reach
-    the workers through fork), which also makes this the only parallel
-    path for configs holding unpicklable callables.  The pool is forked
-    lazily on first use and torn down when the session ends; POSIX only.
+    the workers through fork), so configs holding unpicklable callables
+    run in parallel too.  The pool is forked lazily on first use and
+    torn down when the session ends, so an executor holds no resources
+    between sessions and one instance may serve concurrent sessions
+    from several threads.  POSIX only.
     """
 
-    kind = "fork"
+    #: Pools forked by every ForkExecutor in this process (the parity
+    #: tests assert on it, so a silent serial fallback cannot pass).
+    pools_created = 0
 
-    def __init__(self, workers: int, min_parallel_upd: int = MIN_PARALLEL_UPD,
-                 min_parallel_pairs: int = MIN_PARALLEL_PAIRS):
+    def __init__(self, workers: int):
         self.workers = max(int(workers), 1)
-        self.min_parallel_upd = int(min_parallel_upd)
-        self.min_parallel_pairs = int(min_parallel_pairs)
-        self._touch()
-        #: Pools forked over this executor's lifetime (observability for
-        #: the no-spawn-for-tiny-workloads regression test).
-        self.pools_created = 0
+        self._context = multiprocessing.get_context("fork")
+
+    def _fork(self, processes: int):
+        ForkExecutor.pools_created += 1
+        return self._context.Pool(processes=processes)
 
     @contextmanager
     def _forked_pool(self, state: dict):
-        if not fork_available():
-            warnings.warn(
-                "fork start method unavailable; running serially "
-                "(use the shared_memory executor on this platform)",
-                RuntimeWarning,
-            )
-            yield None, None
-            return
-        context = multiprocessing.get_context("fork")
+        """Yield ``(ensure_pool, token)``; the pool forks on the first
+        ``ensure_pool()`` call and is terminated on exit."""
         holder: dict = {"pool": None}
         token = next(_FORK_TOKENS)
 
         def ensure_pool():
             if holder["pool"] is None:
-                holder["pool"] = context.Pool(processes=self.workers)
-                self.pools_created += 1
+                holder["pool"] = self._fork(self.workers)
             return holder["pool"]
 
         _FORK_SHARED[token] = state
@@ -723,18 +185,17 @@ class ForkExecutor(Executor):
             _FORK_SHARED.pop(token, None)
 
     @contextmanager
-    def sweep_session(self, vectorized, channel=None):
-        # channel is a shared-memory concept: a forked pool re-inherits
-        # the current state each session anyway.
+    def sweep_session(self, vectorized):
         import numpy as np
 
-        with self._track(), self._forked_pool(
+        threshold = max(self.workers, MIN_PARALLEL_UPD)
+        if int(vectorized.compiled.num_updatable) < threshold:
+            # Every sweep is a subset of upd_arena: nothing to gain.
+            yield None
+            return
+        with self._forked_pool(
             {"vectorized": vectorized}
         ) as (ensure_pool, token):
-            if ensure_pool is None:
-                yield None
-                return
-            threshold = max(self.workers, self.min_parallel_upd)
 
             def sweep(scores, upd):
                 if upd.size < threshold:
@@ -752,20 +213,18 @@ class ForkExecutor(Executor):
     @contextmanager
     def pair_session(self, engine, shards):
         shards = list(shards)
-        if _pairs_below_threshold(shards, self):
+        total = sum(len(shard) for shard in shards)
+        if total < max(self.workers, MIN_PARALLEL_PAIRS):
+            # Per-iteration dispatch plus pickling the previous score
+            # dict dwarfs a handful of ``update_pair`` calls.
             yield None
             return
-        with self._track(), self._forked_pool(
+        with self._forked_pool(
             {"engine": engine, "shards": shards}
         ) as (ensure_pool, token):
-            if ensure_pool is None:
-                yield None
-                return
             indices = [i for i, shard in enumerate(shards) if shard]
 
             def step(prev):
-                if not indices:
-                    return {}, 0.0
                 parts = ensure_pool().map(
                     _fork_pair_worker, [(token, i, prev) for i in indices]
                 )
@@ -780,309 +239,22 @@ class ForkExecutor(Executor):
             yield step
 
     def run_queries(self, engines):
-        if not fork_available() or len(engines) < 2 or self.workers < 2:
+        if len(engines) < 2 or self.workers < 2:
             return None
         _warm_shared_plans(engines)
         workers = min(self.workers, len(engines))
-        shards = round_robin_shards(range(len(engines)), workers)
-        context = multiprocessing.get_context("fork")
         token = next(_FORK_TOKENS)
         _FORK_SHARED[token] = {
-            "engines": list(engines), "query_shards": shards,
+            "engines": list(engines),
+            "query_shards": round_robin_shards(range(len(engines)), workers),
         }
         try:
-            with self._track(), context.Pool(processes=workers) as pool:
-                self.pools_created += 1
+            with self._fork(workers) as pool:
                 partials = pool.map(
-                    _fork_query_worker,
-                    [(token, i) for i in range(workers)],
+                    _fork_query_worker, [(token, i) for i in range(workers)]
                 )
         finally:
             _FORK_SHARED.pop(token, None)
-        return [row for partial in partials for row in partial]
-
-
-class SharedMemoryExecutor(Executor):
-    """The persistent zero-copy runtime (see the module docstring).
-
-    One pool serves every session for the executor's lifetime.  Each
-    sweep session owns its shared-memory arena (scores in / values out,
-    plus the dirty-position index), sized once from the compiled
-    instance, reused across that session's iterations and torn down
-    with the session -- per-session ownership is what makes concurrent
-    sessions on one cached executor safe.
-    """
-
-    kind = "shared_memory"
-
-    def __init__(self, workers: int, min_parallel_upd: int = MIN_PARALLEL_UPD,
-                 start_method: Optional[str] = None,
-                 min_parallel_pairs: int = MIN_PARALLEL_PAIRS):
-        self.workers = max(int(workers), 1)
-        self.min_parallel_upd = int(min_parallel_upd)
-        self.min_parallel_pairs = int(min_parallel_pairs)
-        self._touch()
-        self._start_method = start_method
-        self._pool = None
-        self._pool_lock = threading.Lock()
-        self._sessions = 0
-        self.pools_created = 0
-        #: Live broadcast channels (closed with the executor so their
-        #: shared-memory blocks never outlive the pool).
-        self._channels: "weakref.WeakSet[SweepChannel]" = weakref.WeakSet()
-
-    # -- pool / arena lifecycle ---------------------------------------
-    @property
-    def pool_started(self) -> bool:
-        return self._pool is not None
-
-    def _ensure_pool(self):
-        # Serialized so concurrent sessions share one pool instead of
-        # racing to create two.  NOTE the usual POSIX caveat: creating
-        # a fork-context pool while other threads are running can
-        # inherit held locks into the children.  A multi-threaded
-        # service should warm the pool before spinning up request
-        # threads (any first query does it), or use a spawn/forkserver
-        # start method; once the pool exists, concurrent sessions are
-        # safe (Pool.map is thread-safe, all session state is
-        # per-session).
-        with self._pool_lock:
-            if self._pool is None:
-                method = self._start_method or preferred_start_method()
-                context = multiprocessing.get_context(method)
-                self._pool = context.Pool(processes=self.workers)
-                self.pools_created += 1
-            return self._pool
-
-    def _publish(self, payload: bytes) -> _PayloadBlock:
-        from repro.obs.profiling import phase
-
-        self._sessions += 1
-        # The shared-memory broadcast: one copy of the pickled session
-        # state into a block every worker maps.
-        with phase("runtime.broadcast"):
-            return _PayloadBlock(payload, self._sessions)
-
-    def _release_worker_state(self) -> None:
-        """Best-effort reclamation of worker-side session state.
-
-        Workers cache the last unpickled payload (compiled arrays or an
-        engine shard) so repeat tasks of one session unpickle once; at
-        session end that state would otherwise stay resident in every
-        worker until a future session replaces it.  One no-op task per
-        worker usually reaches each idle worker (chunksize=1), but the
-        pool does not guarantee distribution -- this bounds idle memory
-        in the common case, never correctness.
-        """
-        if self._pool is None:
-            return
-        try:
-            self._pool.map(
-                _drop_worker_session, range(self.workers), chunksize=1
-            )
-        except Exception:  # pragma: no cover - pool already broken
-            pass
-
-    def open_channel(self) -> SweepChannel:
-        channel = SweepChannel(self)
-        self._channels.add(channel)
-        return channel
-
-    def close(self) -> None:
-        for channel in list(self._channels):
-            channel.close()
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    # -- sessions ------------------------------------------------------
-    @contextmanager
-    def sweep_session(self, vectorized, channel: Optional[SweepChannel] = None):
-        import numpy as np
-
-        compiled = vectorized.compiled
-        num_feasible = int(compiled.num_feasible)
-        num_updatable = int(compiled.num_updatable)
-        threshold = max(self.workers, self.min_parallel_upd)
-        if num_updatable < threshold:
-            # Every sweep is a subset of upd_arena: nothing to gain.
-            yield None
-            return
-        if channel is not None and (channel.closed
-                                    or channel._executor is not self):
-            channel = None
-        # The session broadcast (one pickle of the compiled arrays) and
-        # the session's arena buffers are deferred until a sweep
-        # actually crosses the threshold: a session whose sweeps all
-        # stay small -- the usual shape of streaming updates, whose
-        # dirty frontier is delta-sized -- pays neither pickle, buffers
-        # nor pool.  Without a channel, buffers and broadcast are per
-        # session (never shared through the executor), so concurrent
-        # sessions on one cached executor cannot clobber each other's
-        # sweep state; the pool itself is safe to share (Pool.map is
-        # thread-safe, payloads are session-keyed).  With a channel the
-        # broadcast block, buffers and worker-side state persist across
-        # this caller's sessions -- the channel's owner serializes its
-        # own computes.
-        state: dict = {"block": None, "delta": ("", 0),
-                       "serial_only": False, "buffers": None}
-        try:
-
-            def sweep(scores, upd):
-                length = int(upd.size)
-                if length < threshold or state["serial_only"]:
-                    return vectorized.sweep(scores, upd)
-                block = state["block"]
-                if block is None:
-                    if channel is not None:
-                        block, state["delta"] = (
-                            channel._ensure_broadcast(vectorized)
-                        )
-                    else:
-                        payload = _transportable_vectorized(vectorized)
-                        block = (None if payload is None
-                                 else self._publish(payload))
-                    if block is None:
-                        warnings.warn(
-                            "compiled sweep state is not picklable; "
-                            "sweeps stay serial",
-                            RuntimeWarning,
-                        )
-                        state["serial_only"] = True
-                        return vectorized.sweep(scores, upd)
-                    state["block"] = block
-                if state["buffers"] is None:
-                    if channel is not None:
-                        state["buffers"] = channel._ensure_buffers(
-                            num_feasible, num_updatable
-                        )
-                    else:
-                        state["buffers"] = (
-                            _ParentBuffer(np.float64, num_feasible),
-                            _ParentBuffer(np.int64, num_updatable),
-                            _ParentBuffer(np.float64, num_updatable),
-                        )
-                scores_buf, upd_buf, out_buf = state["buffers"]
-                delta_name, journal_len = state["delta"]
-                scores_len = int(scores.size)
-                scores_buf.view[:scores_len] = scores
-                upd_buf.view[:length] = upd
-                pool = self._ensure_pool()
-                pool.map(
-                    _shm_sweep_worker,
-                    [
-                        (block.name, block.session_id,
-                         delta_name, journal_len,
-                         scores_buf.name, scores_buf.capacity,
-                         upd_buf.name, upd_buf.capacity,
-                         out_buf.name, out_buf.capacity,
-                         scores_len, length, start, stop)
-                        for start, stop in _shard_bounds(length, self.workers)
-                    ],
-                )
-                # A zero-copy view into the output buffer -- valid
-                # until this session's next parallel sweep (callers
-                # consume the values before re-entering sweep).
-                return out_buf.view[:length]
-
-            with self._track():
-                yield sweep
-        finally:
-            if channel is None:
-                if state["buffers"] is not None:
-                    for buffer in state["buffers"]:
-                        buffer.close()
-                if state["block"] is not None:
-                    state["block"].close()
-                    self._release_worker_state()
-
-    @contextmanager
-    def pair_session(self, engine, shards):
-        shards = list(shards)
-        if _pairs_below_threshold(shards, self):
-            yield None
-            return
-        try:
-            payload = _dumps({"pairs": (engine, shards)})
-        except Exception:
-            warnings.warn(
-                "engine state is not picklable; pair updates stay serial",
-                RuntimeWarning,
-            )
-            yield None
-            return
-        indices = [i for i, shard in enumerate(shards) if shard]
-        block = self._publish(payload)
-        try:
-
-            def step(prev):
-                if not indices:
-                    return {}, 0.0
-                pool = self._ensure_pool()
-                prev_block = _PayloadBlock(_dumps(prev), block.session_id)
-                try:
-                    parts = pool.map(
-                        _shm_pair_worker,
-                        [(block.name, block.session_id, i, prev_block.name)
-                         for i in indices],
-                    )
-                finally:
-                    prev_block.close()
-                merged: dict = {}
-                delta = 0.0
-                for partial, local in parts:
-                    merged.update(partial)
-                    if local > delta:
-                        delta = local
-                return merged, delta
-
-            with self._track():
-                yield step
-        finally:
-            block.close()
-            self._release_worker_state()
-
-    def run_queries(self, engines):
-        if len(engines) < 2 or self.workers < 2:
-            return None
-        # No plan warming here: the plan cache keys on graph identity,
-        # and these engines travel by pickle -- workers' unpickled
-        # graph copies could never hit a parent-warmed entry.  (The
-        # fork executor warms because it passes the original objects
-        # through fork inheritance.)  Each shard is published as its
-        # own payload so a worker unpickles only the engines it will
-        # run, not the whole batch; pickle deduplicates a shared data
-        # graph within a shard, so each worker lowers it once.
-        workers = min(self.workers, len(engines))
-        blocks: List[_PayloadBlock] = []
-        try:
-            tasks = []
-            for positions in round_robin_shards(range(len(engines)), workers):
-                if not positions:
-                    continue
-                payload = _dumps({"query_shard": (
-                    [engines[position] for position in positions], positions,
-                )})
-                block = self._publish(payload)
-                blocks.append(block)
-                tasks.append((block.name, block.session_id))
-        except Exception:
-            for block in blocks:
-                block.close()
-            warnings.warn(
-                "engine state is not picklable; queries run serially",
-                RuntimeWarning,
-            )
-            return None
-        try:
-            with self._track():
-                pool = self._ensure_pool()
-                partials = pool.map(_shm_query_worker, tasks)
-        finally:
-            for block in blocks:
-                block.close()
-            self._release_worker_state()
         return [row for partial in partials for row in partial]
 
 
@@ -1105,157 +277,27 @@ def _warm_shared_plans(engines) -> None:
                 lower_graph(graph)
 
 
-# ----------------------------------------------------------------------
-# registry and resolution
-# ----------------------------------------------------------------------
 _SERIAL = SerialExecutor()
-_CACHE: "OrderedDict[Tuple[str, int], Executor]" = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-
-#: Bound on the process-wide executor registry.  A long-lived server
-#: sweeping many (kind, workers) combinations would otherwise
-#: accumulate one worker pool per combination forever; past the bound,
-#: the least-recently-used *idle* executor is closed and evicted
-#: (busy executors are never reclaimed under a caller).
-MAX_CACHED_EXECUTORS = 4
 
 
-def _reclaimable(executor: Executor) -> bool:
-    """Whether eviction may close this executor right now.
+def resolve_executor(config=None, workers: Optional[int] = None) -> Executor:
+    """The executor for ``workers`` (default ``config.workers``).
 
-    Not mid-session, not holding any live :class:`SweepChannel` -- a
-    resident streaming session's channel carries its one-time state
-    broadcast, and closing it would silently demote that session from
-    O(delta) delta shipping back to full re-broadcasts (plus respawn
-    the pool outside the registry's reach on its next compute).
+    One worker runs serially; more fork a pool per session.  Where the
+    platform cannot fork, ``workers > 1`` warns and runs serially --
+    results are bitwise identical either way.
     """
-    if executor.active_sessions:
-        return False
-    channels = getattr(executor, "_channels", None)
-    return not (channels and any(not channel.closed for channel in channels))
-
-
-def get_executor(kind: str, workers: int) -> Executor:
-    """A process-wide cached executor (pool reuse across queries)."""
-    workers = int(workers)
-    if kind == "serial" or workers <= 1:
-        return _SERIAL
-    key = (kind, workers)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _CACHE.move_to_end(key)
-            return cached
-        if kind == "fork":
-            cached = ForkExecutor(workers)
-        elif kind == "shared_memory":
-            cached = SharedMemoryExecutor(workers)
-        else:
-            raise ConfigError(f"unknown executor kind {kind!r}")
-        while len(_CACHE) >= MAX_CACHED_EXECUTORS:
-            victim_key = next(
-                (k for k, ex in _CACHE.items() if _reclaimable(ex)),
-                None,
-            )
-            if victim_key is None:
-                break  # every cached pool is in use: soft bound
-            _CACHE.pop(victim_key).close()
-        _CACHE[key] = cached
-    return cached
-
-
-def evict_idle_executors(max_idle_seconds: float = 0.0) -> int:
-    """Close and evict cached executors idle for ``max_idle_seconds``.
-
-    Idle = no session currently open, no live streaming channel (a
-    resident :class:`~repro.streaming.session.IncrementalFSim` keeps
-    one), and the last use at least ``max_idle_seconds`` ago (0
-    reclaims every currently idle pool).  Returns the number of
-    executors closed.  Safe to call from a server's housekeeping loop;
-    a subsequent :func:`get_executor` simply builds a fresh instance.
-    """
-    now = time.monotonic()
-    closed = 0
-    with _CACHE_LOCK:
-        for key in list(_CACHE):
-            cached = _CACHE[key]
-            if not _reclaimable(cached):
-                continue
-            if now - cached.last_used >= max_idle_seconds:
-                _CACHE.pop(key).close()
-                closed += 1
-    return closed
-
-
-def executor_registry_stats() -> Dict[str, object]:
-    """Observability for the service stats endpoint."""
-    with _CACHE_LOCK:
-        return {
-            "cached": len(_CACHE),
-            "bound": MAX_CACHED_EXECUTORS,
-            "entries": [
-                {
-                    "kind": kind,
-                    "workers": workers,
-                    "pool_started": bool(getattr(ex, "pool_started", False)
-                                         or getattr(ex, "_pool", None)),
-                    "active_sessions": ex.active_sessions,
-                }
-                for (kind, workers), ex in _CACHE.items()
-            ],
-        }
-
-
-def shutdown_executors() -> None:
-    """Close every cached executor (pools, shared-memory arenas)."""
-    with _CACHE_LOCK:
-        for cached in _CACHE.values():
-            cached.close()
-        _CACHE.clear()
-
-
-#: Explicit alias for long-lived servers (the eviction API's big hammer).
-shutdown_all = shutdown_executors
-
-atexit.register(shutdown_executors)
-
-
-def resolve_executor(config=None, workers: Optional[int] = None,
-                     executor=None, workload: str = "sweep") -> Executor:
-    """Map ``(config, overrides)`` to an executor instance.
-
-    ``executor`` may be an :class:`Executor` instance (used as-is), an
-    executor kind, or ``None`` (use ``config.executor``).  ``workers``
-    overrides ``config.workers``.  ``workload`` steers the ``"auto"``
-    choice: vectorized ``"sweep"`` workloads get the shared-memory
-    runtime; ``"pairs"`` / ``"queries"`` (dict engines, whole-query
-    sharding) prefer fork inheritance where the platform has it, since
-    their state crosses the boundary cheapest by copy-on-write.
-
-    A ``"fork"`` request on a platform without fork degrades to the
-    (spawn-capable) shared-memory executor instead of running serially.
-    """
-    if isinstance(executor, Executor):
-        return executor
-    kind = executor if executor is not None else getattr(
-        config, "executor", "auto"
-    )
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigError(
-            f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
     if workers is None:
         workers = getattr(config, "workers", 1)
     workers = int(workers)
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
-    if workers == 1 or kind == "serial":
+    if workers == 1:
         return _SERIAL
-    if kind == "auto":
-        if workload in ("pairs", "queries") and fork_available():
-            kind = "fork"
-        else:
-            kind = "shared_memory"
-    if kind == "fork" and not fork_available():
-        kind = "shared_memory"
-    return get_executor(kind, workers)
+    if not fork_available():
+        warnings.warn(
+            "fork start method unavailable; running serially",
+            RuntimeWarning, stacklevel=2,
+        )
+        return _SERIAL
+    return ForkExecutor(workers)

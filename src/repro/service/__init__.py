@@ -3,7 +3,7 @@
 The PR 1-4 layers made single-shot work fast -- vectorized compilation
 (:mod:`repro.core.plan`), batched multi-query execution
 (``search_many`` / ``fsim_matrix_many``), incremental streaming
-(:mod:`repro.streaming`) and a persistent shared-memory runtime
+(:mod:`repro.streaming`) and a forked parallel runtime
 (:mod:`repro.runtime`).  This subsystem keeps all of it *resident* and
 serves it to concurrent clients, closing the ROADMAP gap between the
 library and a system that "serves heavy traffic":

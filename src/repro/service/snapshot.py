@@ -249,16 +249,8 @@ def adopt_snapshot_payload(
             f"snapshot {origin} is stale: it was computed under a "
             f"different config than the one being served"
         )
-    session_state = payload["session_state"]
     if config is None:
         config = payload["config"]
-    elif session_state is not None:
-        # Value-identical configs (the key matched) may still differ in
-        # runtime fields -- workers/executor -- which must come from
-        # the *current* server flags, not the previous run's.  Rewrite
-        # the session payload so state adoption sees the served config.
-        session_state = dict(session_state)
-        session_state["config"] = config
     if graph is None:
         graph = payload["graph"]
     live = graph_fingerprint(graph, config)
@@ -273,6 +265,14 @@ def adopt_snapshot_payload(
         source={"snapshot": origin},
     )
     registered.wal_seq = int(payload.get("wal_seq", 0))
+    # Value-identical configs (the key matched) may still differ in
+    # ``workers``, which the store pins to 1 -- the saved run's value
+    # is not the served one.  Adopt the session state under the
+    # registered config.
+    config = registered.config
+    session_state = payload["session_state"]
+    if session_state is not None:
+        session_state = dict(session_state, config=config)
     if payload.get("plan") is not None:
         # The plan describes this exact structure (fingerprint-checked):
         # re-key it on the live version counter so the next lowering hits.

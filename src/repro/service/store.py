@@ -65,9 +65,8 @@ JOURNAL_CAP = 4096
 RID_CAP = 4096
 
 #: Request parameters that may override a registered graph's config
-#: (on ``register`` and on every read).  Execution fields -- how many
-#: workers, which executor -- are the server's to choose, not a
-#: client's.
+#: (on ``register`` and on every read).  ``workers`` is not one of
+#: them: the service always sweeps in-process (see :func:`in_process`).
 CONFIG_PARAMS = (
     "variant", "w_out", "w_in", "label_function", "theta",
     "use_upper_bound", "alpha", "beta", "epsilon", "max_iterations",
@@ -94,6 +93,20 @@ def apply_config_params(config: FSimConfig, params) -> FSimConfig:
         return config.with_options(**overrides)
     except ConfigError as exc:
         raise ServiceError(str(exc)) from exc
+
+
+def in_process(config: FSimConfig) -> FSimConfig:
+    """``config`` with ``workers=1``: the service sweeps in-process.
+
+    Forking a pool from the threaded server's request threads could
+    inherit locks held by other threads, so a config carrying more
+    workers (a parent-era snapshot, WAL record or replica bootstrap,
+    or a programmatic ``default_config``) is served serially.  Scores
+    are bitwise identical at every worker count.
+    """
+    if config.workers == 1:
+        return config
+    return config.with_options(workers=1)
 
 
 def config_key(config: FSimConfig) -> tuple:
@@ -264,10 +277,6 @@ class PairState:
         self.synced1 = self.reg1.graph.version
         self.synced2 = self.reg2.graph.version
 
-    def close(self) -> None:
-        if self.session is not None:
-            self.session.close()
-
 
 class GraphStore:
     """The service's registry: named graphs, pair state, statistics."""
@@ -278,20 +287,10 @@ class GraphStore:
         max_pairs: int = 32,
         result_cache_size: int = 256,
         session_mode: str = "replay",
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
         wal: Optional[WriteAheadLog] = None,
         wal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
     ):
-        base = default_config or FSimConfig()
-        overrides = {}
-        if workers is not None:
-            overrides["workers"] = int(workers)
-        if executor is not None:
-            overrides["executor"] = executor
-        if overrides:
-            base = base.with_options(**overrides)
-        self.default_config = base
+        self.default_config = in_process(default_config or FSimConfig())
         self.session_mode = session_mode
         self.max_pairs = max(int(max_pairs), 1)
         self.result_cache_size = int(result_cache_size)
@@ -359,7 +358,7 @@ class GraphStore:
             if name in self._graphs:
                 self._evict(name)
             registered = RegisteredGraph(
-                name, graph, config or self.default_config
+                name, graph, in_process(config or self.default_config)
             )
             self._graphs[name] = registered
             return registered
@@ -378,7 +377,7 @@ class GraphStore:
         where the replayed register record already implies it)."""
         self._graphs.pop(name, None)
         for key in [k for k in self._pairs if name in (k[0], k[1])]:
-            self._pairs.pop(key).close()
+            del self._pairs[key]
 
     def graph(self, name: str) -> RegisteredGraph:
         registered = self._graphs.get(name)
@@ -412,8 +411,7 @@ class GraphStore:
             state = PairState(reg1, reg2, config, self.session_mode,
                               self.result_cache_size)
             while len(self._pairs) >= self.max_pairs:
-                _, evicted = self._pairs.popitem(last=False)
-                evicted.close()
+                self._pairs.popitem(last=False)
                 self._pair_evictions += 1
             self._pairs[key] = state
             return state
@@ -432,9 +430,7 @@ class GraphStore:
         path), evicting any colder entry for the same key."""
         key = (state.reg1.name, state.reg2.name, config_key(state.config))
         with self._lock:
-            old = self._pairs.pop(key, None)
-            if old is not None:
-                old.close()
+            self._pairs.pop(key, None)
             self._pairs[key] = state
 
     # ------------------------------------------------------------------
@@ -682,8 +678,6 @@ class GraphStore:
     # observability / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        from repro.runtime import executor_registry_stats
-
         with self._lock:
             graphs = {
                 name: {
@@ -719,7 +713,6 @@ class GraphStore:
             "pairs": pairs,
             "pair_evictions": self._pair_evictions,
             "plan_cache": plan_cache_stats(),
-            "executors": executor_registry_stats(),
             "restored_snapshots": self.restored_snapshots,
         }
         if self.replica_primary is not None:
@@ -740,8 +733,6 @@ class GraphStore:
             self.auditor.close()
             self.auditor = None
         with self._lock:
-            for state in self._pairs.values():
-                state.close()
             self._pairs.clear()
             self._graphs.clear()
             if self.wal is not None:

@@ -41,7 +41,6 @@ the version bracket) trigger a transparent cold resynchronization.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,12 +78,13 @@ class IncrementalFSim:
         Upper bound on replay-trajectory memory; a session whose
         worst-case trajectory would exceed it refuses to start in
         replay mode (use ``warm`` or raise the bound).
-    workers / executor:
-        The :mod:`repro.runtime` parallel runtime for the re-sweeps
-        (defaults to ``config.workers`` / ``config.executor``).  With
-        the shared-memory executor the session's sweeps run over one
-        persistent worker pool, reused across every :meth:`compute` --
-        results stay bitwise identical to the serial session.
+    workers:
+        Worker processes for the re-sweeps (defaults to
+        ``config.workers``).  Each :meth:`compute` that has a sweep
+        large enough to shard forks a :mod:`repro.runtime` pool for its
+        own duration; the incremental re-sweeps of a small delta stay
+        under the threshold and never fork.  Results stay bitwise
+        identical to the serial session.
     """
 
     def __init__(
@@ -95,7 +95,6 @@ class IncrementalFSim:
         mode: str = "replay",
         max_trajectory_mb: float = 1024.0,
         workers: Optional[int] = None,
-        executor=None,
     ):
         from repro.runtime import resolve_executor
 
@@ -114,17 +113,7 @@ class IncrementalFSim:
         self.config = config
         self.mode = mode
         self.max_trajectory_mb = float(max_trajectory_mb)
-        self.executor = resolve_executor(config, workers, executor,
-                                         workload="sweep")
-        # Persistent broadcast channel (shared-memory executors only):
-        # the full compiled state crosses to the worker pool once, then
-        # each compute ships only the recorded deltas -- see
-        # :class:`repro.runtime.SweepChannel`.
-        self._channel = self.executor.open_channel()
-        if self._channel is not None:
-            self._channel_finalizer = weakref.finalize(
-                self, _close_channel, self._channel
-            )
+        self.executor = resolve_executor(config, workers)
         self.log1 = DeltaLog(graph1)
         self.log2 = self.log1 if graph2 is graph1 else DeltaLog(graph2)
         self._compiled: Optional[CompiledFSim] = None
@@ -164,8 +153,6 @@ class IncrementalFSim:
             self._trajectory = None
             self._final = None
             self._result = None
-            if self._channel is not None:
-                self._channel.invalidate()
             raise
 
     def _compute(self) -> FSimResult:
@@ -184,24 +171,6 @@ class IncrementalFSim:
     def result(self) -> Optional[FSimResult]:
         """The most recent result (None before the first compute)."""
         return self._result
-
-    def close(self) -> None:
-        """Release the session's persistent executor channel.
-
-        The (shared, cached) executor itself is left running.  Safe to
-        call more than once; a session dropped without ``close`` is
-        cleaned up by a finalizer, but a long-lived server should close
-        evicted sessions promptly -- each open channel pins
-        shared-memory blocks.
-        """
-        if self._channel is not None:
-            self._channel.close()
-
-    def __enter__(self) -> "IncrementalFSim":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # snapshot support (repro.service.snapshot)
@@ -261,8 +230,6 @@ class IncrementalFSim:
         self._trajectory = None if trajectory is None else list(trajectory)
         self._final = state["final"]
         self._result = state["result"]
-        if self._channel is not None:
-            self._channel.invalidate()
 
     @property
     def trajectory_bytes(self) -> int:
@@ -292,10 +259,7 @@ class IncrementalFSim:
         trajectory: Optional[List[np.ndarray]] = (
             [] if self.mode == "replay" else None
         )
-        if self._channel is not None:
-            self._channel.invalidate()  # fresh compiled instance
-        with self.executor.sweep_session(engine,
-                                         channel=self._channel) as sweep:
+        with self.executor.sweep_session(engine) as sweep:
             scores, iterations, converged, deltas = engine.iterate(
                 sweep=sweep, trajectory=trajectory
             )
@@ -320,19 +284,10 @@ class IncrementalFSim:
             touched = patch_compiled_edges(compiled, plan1, plan2,
                                            delta1, delta2)
             self.stats["compiled_patches"] += 1
-            if self._channel is not None:
-                # Workers replay this exact patch from the ops alone --
-                # the broadcast for this update is O(delta), not O(graph).
-                self._channel.record_patch(
-                    delta1, delta2, self.graph2 is self.graph1
-                )
         except CompiledPatchError:
             compiled, touched, dirty0 = self._recompile(delta1, delta2)
-            if self._channel is not None:
-                self._channel.invalidate()  # new compiled instance
         engine = VectorizedFSimEngine(compiled)
-        with self.executor.sweep_session(engine,
-                                         channel=self._channel) as sweep:
+        with self.executor.sweep_session(engine) as sweep:
             if self.mode == "replay":
                 scores, iterations, converged, deltas = (
                     engine.iterate_incremental(
@@ -457,11 +412,6 @@ class IncrementalFSim:
         )
         self._result = result
         return result
-
-
-def _close_channel(channel) -> None:
-    """Finalizer target (must not be a bound method of the session)."""
-    channel.close()
 
 
 def _arena_mapping(

@@ -510,6 +510,50 @@ class TestSnapshotWalEdgeCases:
         assert dict(recovered.fsim("g", "g").scores) == expected
         recovered.close()
 
+    @pytest.mark.parametrize("strict_config", [True, False])
+    def test_executor_era_snapshot_and_register_recover_in_process(
+            self, tmp_path, strict_config):
+        """A WAL directory written by a store run with
+        ``executor="shared_memory", workers=2`` -- a compaction
+        snapshot whose pickled config carries both, then a ``register``
+        record with those params -- recovers bitwise, with
+        (``strict_config``) and without a served config, and every
+        graph is served with ``workers=1``."""
+        config = numpy_config()
+        store = GraphStore(default_config=config,
+                           wal=WriteAheadLog(tmp_path, sync="always"))
+        register_durable(store)
+        object.__setattr__(config, "executor", "shared_memory")
+        object.__setattr__(config, "workers", 2)
+        store.mutate("g", [DeltaOp("add_edge", 0, 2)])
+        store.fsim("g", "g")
+        store.compact()  # the snapshot pickles the executor-era config
+        (snapshot,) = tmp_path.glob("*.snap")
+        assert b"shared_memory" in snapshot.read_bytes()
+        other = make_graph(seed=9)
+        store.register("h", other, source={
+            "nodes": [[node, other.label(node)] for node in other.nodes()],
+            "edges": [list(edge) for edge in other.edges()],
+            "params": {"workers": 2, "executor": "shared_memory"},
+        })
+        store.mutate("g", [DeltaOp("add_node", 3000, 1),
+                           DeltaOp("add_edge", 3000, 4)])
+        store.mutate("h", [DeltaOp("remove_edge",
+                                   *next(iter(other.edges())))])
+        expected = {name: dict(store.fsim(name, name).scores)
+                    for name in ("g", "h")}
+        store.close()
+        recovered, report = recover_store(tmp_path, config=numpy_config(),
+                                          strict_config=strict_config)
+        assert report.snapshots_warm == 1
+        assert report.replayed_registers == 1
+        for name in ("g", "h"):
+            served = recovered.graph(name).config
+            assert served == numpy_config()
+            assert "executor" not in vars(served)
+            assert dict(recovered.fsim(name, name).scores) == expected[name]
+        recovered.close()
+
     def test_register_with_retired_execution_params_replays(
             self, tmp_path, caplog):
         """``register`` records written before params were validated

@@ -1,14 +1,15 @@
 """Tests for the unified executor runtime (repro.runtime).
 
-The load-bearing contract: every executor -- serial, fork-inheritance,
-persistent shared-memory -- produces **bitwise identical**
-``FSimResult``s (scores, iterations, per-iteration deltas) on both
-compute backends.  Plus the runtime's resource behavior: lazy pool
-creation (tiny workloads never spawn a process), pool reuse across
-queries, and graceful degradation where fork is unavailable.
+The load-bearing contract: a forked pool (``workers > 1``) produces
+**bitwise identical** ``FSimResult``s (scores, iterations,
+per-iteration deltas) to serial iteration on both compute backends.
+Every parity test also asserts that a pool was actually forked, so a
+silent serial fallback cannot pass it.  Plus the runtime's resource
+behavior: lazy pool creation (tiny workloads never fork a process) and
+the serial fallback, with a warning, where fork is unavailable.
 """
 
-import multiprocessing
+import pickle
 import warnings
 
 import pytest
@@ -18,34 +19,41 @@ from hypothesis import strategies as st
 from repro.core import FSimConfig, FSimEngine, fsim_matrix
 from repro.core.api import fsim_matrix_many
 from repro.core.topk import TopKSearch
+from repro.core.vectorized import run_vectorized
 from repro.exceptions import ConfigError
 from repro.graph.generators import random_graph, uniform_labels
 from repro.runtime import (
     ForkExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
-    get_executor,
+    fork_available,
     resolve_executor,
-    shutdown_executors,
 )
 from repro.runtime import executor as executor_module
 from repro.simulation import Variant
 
-
-@pytest.fixture(scope="module")
-def shm_executor():
-    """One persistent shared-memory executor shared by the module
-    (threshold lowered so small test graphs actually hit the pool)."""
-    ex = SharedMemoryExecutor(2, min_parallel_upd=1, min_parallel_pairs=1)
-    yield ex
-    ex.close()
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="the fork start method needs a unix-like "
+    "platform",
+)
 
 
-@pytest.fixture(scope="module")
-def fork_executor():
-    ex = ForkExecutor(2, min_parallel_upd=1, min_parallel_pairs=1)
-    yield ex
-    ex.close()
+@pytest.fixture
+def forked(monkeypatch):
+    """Parallel thresholds lowered to 1 so small test graphs reach the
+    pool, and the process-wide pool counter zeroed."""
+    if not fork_available():
+        pytest.skip("the fork start method needs a unix-like platform")
+    monkeypatch.setattr(executor_module, "MIN_PARALLEL_UPD", 1)
+    monkeypatch.setattr(executor_module, "MIN_PARALLEL_PAIRS", 1)
+    monkeypatch.setattr(ForkExecutor, "pools_created", 0)
+
+
+def on_pool(compute):
+    """``compute()``, asserting it forked at least one pool."""
+    before = ForkExecutor.pools_created
+    result = compute()
+    assert ForkExecutor.pools_created > before, "ran serially"
+    return result
 
 
 def assert_identical(serial, parallel):
@@ -58,7 +66,7 @@ def assert_identical(serial, parallel):
 
 
 # ----------------------------------------------------------------------
-# bitwise parity across executors (property test, both backends)
+# bitwise parity of the forked pool (property test, both backends)
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @settings(
@@ -73,8 +81,7 @@ class TestExecutorParity:
         variant=st.sampled_from([Variant.S, Variant.B, Variant.BJ]),
     )
     def test_bitwise_identical_results(
-        self, shm_executor, fork_executor,
-        num_nodes, num_labels, seed, backend, variant,
+        self, forked, num_nodes, num_labels, seed, backend, variant,
     ):
         graph = random_graph(
             num_nodes, 2 * num_nodes,
@@ -84,22 +91,20 @@ class TestExecutorParity:
             variant=variant, label_function="indicator", backend=backend,
         )
         serial = FSimEngine(graph, graph, cfg).run()
-        for executor in (shm_executor, fork_executor):
-            parallel = FSimEngine(graph, graph, cfg).run(executor=executor)
-            assert_identical(serial, parallel)
+        parallel = on_pool(lambda: FSimEngine(graph, graph, cfg).run(workers=2))
+        assert_identical(serial, parallel)
 
-    def test_parity_with_pruning(self, medium_random_graph, shm_executor):
+    def test_parity_with_pruning(self, medium_random_graph, forked):
         cfg = FSimConfig(
             variant=Variant.BJ, label_function="indicator",
             theta=1.0, use_upper_bound=True, alpha=0.4, backend="numpy",
         )
         g = medium_random_graph
         serial = FSimEngine(g, g, cfg).run()
-        parallel = FSimEngine(g, g, cfg).run(executor=shm_executor)
+        parallel = on_pool(lambda: FSimEngine(g, g, cfg).run(workers=2))
         assert_identical(serial, parallel)
 
-    def test_parity_with_pinned_pairs(self, medium_random_graph,
-                                      fork_executor, shm_executor):
+    def test_parity_with_pinned_pairs(self, medium_random_graph, forked):
         g = medium_random_graph
         node = g.nodes()[0]
         for backend in ("python", "numpy"):
@@ -108,13 +113,12 @@ class TestExecutorParity:
                 pinned_pairs={(node, node): 1.0}, backend=backend,
             )
             serial = FSimEngine(g, g, cfg).run()
-            for executor in (fork_executor, shm_executor):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
-                assert parallel.scores[(node, node)] == 1.0
+            parallel = on_pool(lambda: FSimEngine(g, g, cfg).run(workers=2))
+            assert_identical(serial, parallel)
+            assert parallel.scores[(node, node)] == 1.0
 
     def test_num_candidates_excludes_foreign_pinned_pairs(
-        self, medium_random_graph, fork_executor
+        self, medium_random_graph, forked
     ):
         """A pinned pair outside the candidate store must not inflate
         ``num_candidates`` on the parallel path (the legacy runner
@@ -133,17 +137,31 @@ class TestExecutorParity:
             pinned_pairs={foreign: 0.5}, backend="python",
         )
         serial = FSimEngine(g, g, cfg).run()
-        parallel = FSimEngine(g, g, cfg).run(executor=fork_executor)
+        parallel = on_pool(lambda: FSimEngine(g, g, cfg).run(workers=2))
         assert parallel.num_candidates == serial.num_candidates
         assert parallel.scores[foreign] == 0.5
+
+    def test_dp_arena_parity(self, forked):
+        """A dp arena swept on a forked pool matches the serial
+        iteration bit for bit, and a second run forks afresh."""
+        g1 = random_graph(45, 180, uniform_labels(45, 5, seed=31),
+                          seed=32)
+        g2 = random_graph(40, 160, uniform_labels(40, 5, seed=33),
+                          seed=34)
+        cfg = FSimConfig(variant=Variant.DP, label_function="indicator",
+                         backend="numpy")
+        serial = FSimEngine(g1, g2, cfg).run()
+        for _ in range(2):
+            assert_identical(serial, on_pool(
+                lambda: FSimEngine(g1, g2, cfg).run(workers=2)
+            ))
 
 
 # ----------------------------------------------------------------------
 # batched and streaming layers share the runtime
 # ----------------------------------------------------------------------
 class TestSharedRuntimeLayers:
-    def test_topk_parity_both_backends(self, medium_random_graph,
-                                       shm_executor):
+    def test_topk_parity_both_backends(self, medium_random_graph, forked):
         g = medium_random_graph
         queries = g.nodes()[:4]
         for backend in ("python", "numpy"):
@@ -153,45 +171,33 @@ class TestSharedRuntimeLayers:
             )
             search = TopKSearch(g, g, cfg)
             serial = search.search_many(queries, 3)
-            parallel = search.search_many(queries, 3, executor=shm_executor)
+            parallel = on_pool(
+                lambda: search.search_many(queries, 3, workers=2)
+            )
             for a, b in zip(serial, parallel):
                 assert a.partners == b.partners
                 assert a.iterations == b.iterations
                 assert a.certified == b.certified
 
-    def test_query_sharding_parity(self, medium_random_graph, shm_executor,
-                                   fork_executor):
+    def test_query_sharding_parity(self, medium_random_graph, forked):
         data = medium_random_graph
         queries = [
             random_graph(8, 14, uniform_labels(8, 3, seed=s), seed=s)
             for s in range(4)
         ]
-        serial = fsim_matrix_many(
-            queries, data, "s", label_function="indicator"
-        )
-        for executor in (fork_executor, shm_executor):
-            parallel = fsim_matrix_many(
+        for backend in ("python", "numpy"):
+            serial = fsim_matrix_many(
                 queries, data, "s", label_function="indicator",
-                executor=executor,
+                backend=backend,
             )
+            parallel = on_pool(lambda: fsim_matrix_many(
+                queries, data, "s", label_function="indicator",
+                backend=backend, workers=2,
+            ))
             for a, b in zip(serial, parallel):
                 assert_identical(a, b)
 
-    def test_shared_memory_pool_survives_batch_and_queries(
-        self, medium_random_graph, shm_executor
-    ):
-        """One persistent pool serves repeated queries and batches."""
-        g = medium_random_graph
-        cfg = FSimConfig(
-            variant=Variant.S, label_function="indicator", backend="numpy",
-        )
-        for _ in range(2):
-            FSimEngine(g, g, cfg).run(executor=shm_executor)
-        TopKSearch(g, g, cfg).search_many(g.nodes()[:3], 2,
-                                          executor=shm_executor)
-        assert shm_executor.pools_created == 1
-
-    def test_streaming_session_on_executor(self, shm_executor):
+    def test_streaming_session_on_executor(self, forked):
         from repro.core.plan import clear_plan_caches, lower_graph
         from repro.streaming import IncrementalFSim
 
@@ -203,12 +209,12 @@ class TestSharedRuntimeLayers:
             backend="numpy",
         )
         clear_plan_caches()
-        session = IncrementalFSim(evolving, base, cfg,
-                                  executor=shm_executor)
-        session.compute()
+        session = IncrementalFSim(evolving, base, cfg, workers=2)
+        on_pool(session.compute)
         nodes = evolving.nodes()
         session.log1.add_edge_if_absent(nodes[0], nodes[1])
-        warm = session.compute()
+        warm = on_pool(session.compute)
+        assert session.stats["compiled_patches"] == 1
         clear_plan_caches()
         lower_graph(base)
         cold = fsim_matrix(evolving, base, config=cfg)
@@ -221,131 +227,72 @@ class TestSharedRuntimeLayers:
 # resource behavior: lazy pools, thresholds
 # ----------------------------------------------------------------------
 class TestPoolLifetime:
-    def test_no_pool_spawn_for_tiny_workloads(self, small_random_graph):
+    @needs_fork
+    def test_no_pool_spawn_for_tiny_workloads(self, small_random_graph,
+                                              monkeypatch):
         """A run whose sweeps all stay below the parallel threshold must
-        never fork/spawn a pool (the legacy runner forked one up
-        front)."""
+        never fork a pool (the legacy runner forked one up front)."""
+        monkeypatch.setattr(ForkExecutor, "pools_created", 0)
         g = small_random_graph
         cfg = FSimConfig(
             variant=Variant.S, label_function="indicator", backend="numpy",
         )
-        shm = SharedMemoryExecutor(4)  # default threshold
-        fork = ForkExecutor(4)
-        try:
-            serial = FSimEngine(g, g, cfg).run()
-            for executor in (shm, fork):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
-            assert not shm.pool_started
-            assert shm.pools_created == 0
-            assert fork.pools_created == 0
-        finally:
-            shm.close()
-            fork.close()
+        serial = FSimEngine(g, g, cfg).run()
+        assert_identical(serial, FSimEngine(g, g, cfg).run(workers=4))
+        assert ForkExecutor.pools_created == 0
 
-    def test_no_pool_spawn_for_tiny_dict_workloads(self):
+    @needs_fork
+    def test_no_pool_spawn_for_tiny_dict_workloads(self, monkeypatch):
         """The dict-engine pair path has the same lazy-pool guarantee:
-        a workload below the pair threshold never pickles the engine or
-        spawns a pool."""
+        a workload below the pair threshold never forks a pool."""
+        monkeypatch.setattr(ForkExecutor, "pools_created", 0)
         # 7x7 = 49 candidate pairs, below MIN_PARALLEL_PAIRS (64).
         g = random_graph(7, 12, uniform_labels(7, 2, seed=3), seed=4)
         cfg = FSimConfig(
             variant=Variant.S, label_function="indicator", backend="python",
         )
-        shm = SharedMemoryExecutor(4)  # default thresholds
-        fork = ForkExecutor(4)
-        try:
-            serial = FSimEngine(g, g, cfg).run()
-            for executor in (shm, fork):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
-            assert not shm.pool_started
-            assert shm.pools_created == 0
-            assert fork.pools_created == 0
-        finally:
-            shm.close()
-            fork.close()
+        serial = FSimEngine(g, g, cfg).run()
+        assert_identical(serial, FSimEngine(g, g, cfg).run(workers=4))
+        assert ForkExecutor.pools_created == 0
 
     def test_serial_resolution(self):
         cfg = FSimConfig()
         assert isinstance(resolve_executor(cfg), SerialExecutor)
         assert isinstance(resolve_executor(cfg, workers=1), SerialExecutor)
-        assert isinstance(
-            resolve_executor(cfg, workers=4, executor="serial"),
-            SerialExecutor,
-        )
-
-    def test_registry_caches_instances(self):
-        first = get_executor("shared_memory", 3)
-        second = get_executor("shared_memory", 3)
-        assert first is second
-        assert get_executor("shared_memory", 2) is not first
-
-    def test_executor_instance_passes_through(self, shm_executor):
-        assert resolve_executor(None, 8, shm_executor) is shm_executor
+        if fork_available():
+            resolved = resolve_executor(cfg, workers=3)
+            assert isinstance(resolved, ForkExecutor)
+            assert resolved.workers == 3
+            resolved = resolve_executor(cfg.with_options(workers=2))
+            assert isinstance(resolved, ForkExecutor)
 
 
 # ----------------------------------------------------------------------
 # platform degradation
 # ----------------------------------------------------------------------
-class TestSpawnFallback:
-    def test_fork_request_degrades_to_shared_memory(self, monkeypatch):
-        """Platforms without fork get the (spawn-capable) shared-memory
-        executor instead of a warning plus serial execution."""
-        monkeypatch.setenv(executor_module.START_METHOD_ENV, "spawn")
-        shutdown_executors()
-        try:
-            resolved = resolve_executor(None, workers=2, executor="fork")
-            assert resolved.kind == "shared_memory"
-            resolved = resolve_executor(None, workers=2, executor="auto",
-                                        workload="queries")
-            assert resolved.kind == "shared_memory"
-        finally:
-            shutdown_executors()
-
-    def test_spawn_pool_parity(self, medium_random_graph):
-        """The shared-memory executor is correct under a spawn pool."""
+class TestForkFallback:
+    def test_fork_unavailable_runs_serially_with_warning(
+        self, medium_random_graph, forked, monkeypatch
+    ):
+        """Where fork is missing, ``workers > 1`` warns and runs the
+        serial path -- bitwise the serial result, no pool."""
+        monkeypatch.setattr(executor_module, "fork_available", lambda: False)
         g = medium_random_graph
-        cfg = FSimConfig(
-            variant=Variant.S, label_function="indicator", backend="numpy",
-        )
-        serial = FSimEngine(g, g, cfg).run()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1,
-                                  start_method="spawn")
-        try:
-            parallel = FSimEngine(g, g, cfg).run(executor=ex)
+        for backend in ("python", "numpy"):
+            cfg = FSimConfig(
+                variant=Variant.S, label_function="indicator",
+                backend=backend,
+            )
+            serial = FSimEngine(g, g, cfg).run()
+            with pytest.warns(RuntimeWarning, match="running serially"):
+                parallel = FSimEngine(g, g, cfg).run(workers=2)
             assert_identical(serial, parallel)
-        finally:
-            ex.close()
+        assert ForkExecutor.pools_created == 0
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pool_start_method_parity(self, start_method):
-        """A dp arena swept on a persistent shared-memory pool under
-        either start method matches the serial iteration bit for bit,
-        and a second run on the same pool is cold again."""
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method needs a unix-like platform")
-        g1 = random_graph(45, 180, uniform_labels(45, 5, seed=31),
-                          seed=32)
-        g2 = random_graph(40, 160, uniform_labels(40, 5, seed=33),
-                          seed=34)
-        cfg = FSimConfig(variant=Variant.DP, label_function="indicator",
-                         backend="numpy")
-        serial = FSimEngine(g1, g2, cfg).run()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1,
-                                  start_method=start_method)
-        try:
-            for _ in range(2):
-                assert_identical(serial,
-                                 FSimEngine(g1, g2, cfg).run(executor=ex))
-            assert ex.pool_started
-        finally:
-            ex.close()
-
-    def test_unpicklable_state_falls_back_to_serial(self,
-                                                    medium_random_graph):
-        """An engine the executor cannot ship degrades to the serial
-        path (with a warning), never to a crash."""
+    def test_unpicklable_config_runs_on_fork_pool(self, medium_random_graph,
+                                                  forked):
+        """A config holding a lambda reaches the workers through fork
+        (nothing is pickled on the way in), so it runs in parallel."""
         g = medium_random_graph
         cfg = FSimConfig(
             variant=Variant.S,
@@ -353,16 +300,10 @@ class TestSpawnFallback:
             backend="python",
         )
         serial = FSimEngine(g, g, cfg).run()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1,
-                                  min_parallel_pairs=1)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                parallel = FSimEngine(g, g, cfg).run(executor=ex)
-            assert_identical(serial, parallel)
-            assert not ex.pool_started
-        finally:
-            ex.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            parallel = on_pool(lambda: FSimEngine(g, g, cfg).run(workers=2))
+        assert_identical(serial, parallel)
 
 
 # ----------------------------------------------------------------------
@@ -372,16 +313,15 @@ class TestConfigPlumbing:
     def test_workers_validated(self):
         with pytest.raises(ConfigError):
             FSimConfig(workers=0)
-        with pytest.raises(ConfigError):
-            FSimConfig(executor="bogus")
+        with pytest.raises(TypeError):
+            FSimConfig(executor="fork")  # retired knob
 
-    def test_config_workers_drive_run(self, small_random_graph):
+    def test_config_workers_drive_run(self, small_random_graph, forked):
         g = small_random_graph
         cfg = FSimConfig(
-            variant=Variant.S, label_function="indicator",
-            workers=2, executor="serial",
+            variant=Variant.S, label_function="indicator", workers=2,
         )
-        result = FSimEngine(g, g, cfg).run()
+        result = on_pool(lambda: FSimEngine(g, g, cfg).run())
         serial = FSimEngine(
             g, g, cfg.with_options(workers=1)
         ).run()
@@ -392,15 +332,27 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             FSimEngine(g, g, FSimConfig()).run(workers=0)
 
+    def test_retired_executor_field_unpickles(self):
+        """A config pickled before ``executor`` was retired restores as
+        a plain config (the field is dropped, the rest kept)."""
+        legacy = object.__new__(FSimConfig)
+        legacy.__dict__.update(
+            FSimConfig(theta=0.5, workers=2).__dict__,
+            executor="shared_memory",
+        )
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert "executor" not in restored.__dict__
+        assert restored == FSimConfig(theta=0.5, workers=2)
+
 
 # ----------------------------------------------------------------------
-# concurrent sessions on one cached executor
+# concurrent sessions on one executor
 # ----------------------------------------------------------------------
 class TestConcurrentSessions:
-    def test_threads_sharing_one_executor_stay_bitwise_correct(self):
-        """Two threads running sessions on the same cached executor must
-        not clobber each other's sweep state (per-session buffers,
-        token-keyed fork staging)."""
+    def test_threads_sharing_one_executor_stay_bitwise_correct(self, forked):
+        """Two threads running sessions on the same ForkExecutor must
+        not clobber each other's sweep state (token-keyed fork
+        staging, one pool per session)."""
         import threading
 
         graphs = [
@@ -412,236 +364,28 @@ class TestConcurrentSessions:
             variant=Variant.S, label_function="indicator", backend="numpy",
         )
         serials = [FSimEngine(g, g, cfg).run() for g in graphs]
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1,
-                                  min_parallel_pairs=1)
-        # Warm the pool from the main thread first (the documented
-        # pattern for multi-threaded services: lazily forking a pool
-        # while other threads run risks inheriting held locks).
-        first = FSimEngine(graphs[0], graphs[0], cfg).run(executor=ex)
-        assert first.scores == serials[0].scores
+        ex = ForkExecutor(2)
         failures = []
 
         def worker(index):
             try:
                 for _ in range(3):
-                    result = FSimEngine(
-                        graphs[index], graphs[index], cfg
-                    ).run(executor=ex)
+                    engine = FSimEngine(graphs[index], graphs[index], cfg)
+                    result = run_vectorized(engine, ex)
                     if result.scores != serials[index].scores:
                         failures.append(index)
             except Exception as error:  # pragma: no cover - surfaced below
                 failures.append(error)
 
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            ex.close()
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         assert not failures
-
-
-# ----------------------------------------------------------------------
-# persistent sweep channels: O(delta) broadcast for streaming sessions
-# ----------------------------------------------------------------------
-class TestSweepChannel:
-    @staticmethod
-    def _streaming_graph(seed=7):
-        labels = uniform_labels(80, 3, seed=seed)
-        return random_graph(80, 240, labels, seed=seed + 1)
-
-    @staticmethod
-    def _config():
-        return FSimConfig(
-            variant=Variant.B, label_function="indicator", backend="numpy",
-        )
-
-    def test_broadcast_bytes_scale_with_delta(self):
-        """After the one-time base broadcast, a parallel streaming
-        update ships only the recorded delta ops -- not the compiled
-        state -- so broadcast bytes scale with the edit, not the graph
-        (the ROADMAP O(delta) item)."""
-        from repro.streaming import IncrementalFSim
-
-        graph = self._streaming_graph()
-        replica = self._streaming_graph()
-        cfg = self._config()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1)
-        try:
-            session = IncrementalFSim(graph, graph, cfg, executor=ex)
-            mirror = IncrementalFSim(replica, replica, cfg)
-            assert_identical(mirror.compute(), session.compute())
-            channel = session._channel
-            assert channel is not None
-            assert channel.base_broadcasts == 1
-            base_bytes = channel.last_broadcast_bytes
-            edges = list(graph.edges())
-            single_delta_bytes = None
-            for index in range(3):
-                u, v = edges[index * 11]
-                session.log1.remove_edge(u, v)
-                mirror.log1.remove_edge(u, v)
-                assert_identical(mirror.compute(), session.compute())
-                if single_delta_bytes is None:
-                    single_delta_bytes = channel.last_broadcast_bytes
-            assert channel.base_broadcasts == 1  # never re-broadcast
-            assert channel.delta_broadcasts >= 1
-            # O(delta): a one-edge update costs a few hundred bytes at
-            # most; the compiled state is many orders larger.
-            assert single_delta_bytes < base_bytes / 50
-            assert channel.last_broadcast_bytes < base_bytes / 50
-            # The cumulative journal grows linearly in ops, not graph.
-            assert channel.last_broadcast_bytes <= 3 * single_delta_bytes + 256
-            session.close()
-            assert channel.closed
-        finally:
-            ex.close()
-
-    def test_journal_budget_rebroadcasts_base(self, monkeypatch):
-        from repro.streaming import IncrementalFSim
-
-        monkeypatch.setattr(executor_module, "CHANNEL_JOURNAL_BUDGET", 2)
-        graph = self._streaming_graph(seed=19)
-        replica = self._streaming_graph(seed=19)
-        cfg = self._config()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1)
-        try:
-            session = IncrementalFSim(graph, graph, cfg, executor=ex)
-            mirror = IncrementalFSim(replica, replica, cfg)
-            assert_identical(mirror.compute(), session.compute())
-            edges = list(graph.edges())
-            for index in range(5):
-                u, v = edges[index * 7]
-                session.log1.remove_edge(u, v)
-                mirror.log1.remove_edge(u, v)
-                assert_identical(mirror.compute(), session.compute())
-            channel = session._channel
-            # Budget 2 forces at least one base re-broadcast across 5
-            # patched updates -- and parity held throughout.
-            assert channel.base_broadcasts >= 2
-            session.close()
-        finally:
-            ex.close()
-
-    def test_recompile_invalidates_channel(self):
-        """Node churn forces a full recompile; the channel must drop its
-        stale base instead of shipping deltas against it."""
-        from repro.streaming import IncrementalFSim
-
-        graph = self._streaming_graph(seed=31)
-        replica = self._streaming_graph(seed=31)
-        cfg = self._config()
-        ex = SharedMemoryExecutor(2, min_parallel_upd=1)
-        try:
-            session = IncrementalFSim(graph, graph, cfg, executor=ex)
-            mirror = IncrementalFSim(replica, replica, cfg)
-            assert_identical(mirror.compute(), session.compute())
-            channel = session._channel
-            first_bases = channel.base_broadcasts
-            nodes = graph.nodes()
-            for live, ghost in ((session, mirror),):
-                live.log1.add_node("fresh-node", "L0")
-                live.log1.add_edge("fresh-node", nodes[0])
-                ghost.log1.add_node("fresh-node", "L0")
-                ghost.log1.add_edge("fresh-node", nodes[0])
-            assert_identical(mirror.compute(), session.compute())
-            assert session.stats["full_recompiles"] == 1
-            assert channel.base_broadcasts == first_bases + 1
-            session.close()
-        finally:
-            ex.close()
-
-
-# ----------------------------------------------------------------------
-# bounded executor registry: shutdown_all / idle eviction
-# ----------------------------------------------------------------------
-class TestRegistryBounds:
-    def test_idle_pools_are_reclaimed(self, medium_random_graph):
-        from repro.runtime import evict_idle_executors
-
-        shutdown_executors()
-        g = medium_random_graph
-        cfg = FSimConfig(
-            variant=Variant.S, label_function="indicator", backend="numpy",
-        )
-        ex = get_executor("shared_memory", 2)
-        ex.min_parallel_upd = 1  # force the pool to actually spawn
-        serial = FSimEngine(g, g, cfg).run()
-        parallel = FSimEngine(g, g, cfg).run(executor=ex)
-        assert_identical(serial, parallel)
-        assert ex.pool_started
-        assert ex.last_used > 0.0
-        assert ex.active_sessions == 0
-        closed = evict_idle_executors(0.0)
-        assert closed == 1
-        assert not ex.pool_started  # pool terminated
-        assert get_executor("shared_memory", 2) is not ex  # evicted
-        shutdown_executors()
-
-    def test_idle_grace_period_is_respected(self):
-        from repro.runtime import evict_idle_executors
-
-        shutdown_executors()
-        ex = get_executor("shared_memory", 2)
-        # A just-created, never-used executor is inside the grace
-        # period too (last_used is stamped at construction).
-        assert evict_idle_executors(3600.0) == 0
-        assert get_executor("shared_memory", 2) is ex
-        shutdown_executors()
-
-    def test_live_channels_block_eviction(self):
-        """A resident streaming session's channel pins its executor:
-        evicting it would demote the session from O(delta) broadcasts
-        and orphan the respawned pool outside the registry."""
-        from repro.runtime import evict_idle_executors
-
-        shutdown_executors()
-        ex = get_executor("shared_memory", 2)
-        channel = ex.open_channel()
-        assert evict_idle_executors(0.0) == 0
-        assert get_executor("shared_memory", 2) is ex
-        channel.close()
-        assert evict_idle_executors(0.0) == 1
-        shutdown_executors()
-
-    def test_registry_bound_evicts_lru_idle(self, monkeypatch):
-        shutdown_executors()
-        monkeypatch.setattr(executor_module, "MAX_CACHED_EXECUTORS", 2)
-        first = get_executor("shared_memory", 2)
-        second = get_executor("shared_memory", 3)
-        third = get_executor("shared_memory", 4)  # evicts `first` (LRU)
-        registry = executor_module._CACHE
-        assert len(registry) <= 2
-        assert ("shared_memory", 2) not in registry
-        assert get_executor("shared_memory", 3) is second
-        assert get_executor("shared_memory", 4) is third
-        shutdown_executors()
-
-    def test_busy_executors_survive_the_bound(self, monkeypatch):
-        shutdown_executors()
-        monkeypatch.setattr(executor_module, "MAX_CACHED_EXECUTORS", 1)
-        first = get_executor("shared_memory", 2)
-        first.active_sessions += 1  # simulate an open session
-        try:
-            second = get_executor("shared_memory", 3)
-            assert get_executor("shared_memory", 2) is first  # not evicted
-            assert second is not first
-        finally:
-            first.active_sessions -= 1
-        shutdown_executors()
-
-    def test_shutdown_all_clears_registry(self):
-        from repro.runtime import shutdown_all
-
-        ex = get_executor("shared_memory", 2)
-        shutdown_all()
-        assert executor_module._CACHE == {}
-        assert get_executor("shared_memory", 2) is not ex
-        shutdown_executors()
+        assert ForkExecutor.pools_created >= 1
 
 
 # ----------------------------------------------------------------------

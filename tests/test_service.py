@@ -165,17 +165,15 @@ class TestGraphStore:
         ).scores
         store.close()
 
-    def test_pair_lru_eviction_closes_sessions(self):
+    def test_pair_lru_eviction_drops_pair_state(self):
         store = GraphStore(default_config=numpy_config(), max_pairs=1)
         store.register("a", make_graph(seed=5))
         store.register("b", make_graph(seed=9))
-        store.fsim("a", "a")
-        pair_a = store.pair("a", "a", store.default_config)
-        session_a = pair_a.session
+        first = store.fsim("a", "a")
         store.fsim("b", "b")  # evicts the (a, a) pair state
         assert store._pair_evictions == 1
-        if session_a is not None and session_a._channel is not None:
-            assert session_a._channel.closed
+        assert store.peek_pair("a", "a", store.default_config) is None
+        assert store.fsim("a", "a").scores == first.scores
         store.close()
 
     def test_matrix_batches_and_caches(self):
@@ -208,7 +206,7 @@ class TestGraphStore:
         assert result.scores == direct.scores
         store.close()
 
-    def test_stats_expose_plan_cache_and_executors(self):
+    def test_stats_expose_plan_cache(self):
         store = GraphStore(default_config=numpy_config())
         store.register("g", make_graph())
         store.fsim("g", "g")
@@ -216,7 +214,7 @@ class TestGraphStore:
         for key in ("plan_hits", "plan_misses", "plan_evictions",
                     "table_evictions", "plan_adoptions"):
             assert key in stats["plan_cache"]
-        assert "cached" in stats["executors"]
+        assert "executors" not in stats  # sweeps run in-process
         assert stats["graphs"]["g"]["mutations"] == 0
         assert stats["pairs"]["g|g"]["session"] is True
         store.close()
@@ -603,6 +601,52 @@ class TestSnapshots:
         assert after.deltas == cold.deltas
         fresh.close()
 
+    @pytest.mark.parametrize("served", [True, False])
+    def test_snapshot_with_executor_config_restores_in_process(
+            self, tmp_path, served):
+        """Snapshots written while the config still had ``executor``
+        (a store run with ``executor="shared_memory", workers=2``)
+        restore warm, with or without a served config, and are served
+        with ``workers=1``: scores match a cold solve bitwise before
+        and after one edge edit."""
+        path = tmp_path / "g.snap"
+        config = numpy_config(variant=Variant.DP)
+        store = GraphStore(default_config=config)
+        store.register("g", make_graph())
+        store.fsim("g", "g")
+        object.__setattr__(config, "executor", "shared_memory")
+        object.__setattr__(config, "workers", 2)
+        save_snapshot(store, "g", path)
+        store.close()
+        assert b"shared_memory" in path.read_bytes()
+
+        plain = numpy_config(variant=Variant.DP)
+        fresh = GraphStore(default_config=plain)
+        live = make_graph()
+        restore_snapshot(fresh, path, graph=live,
+                         config=plain if served else None)
+        registered = fresh.graph("g").config
+        assert registered == plain
+        assert "executor" not in vars(registered)
+        first = fresh.fsim("g", "g")
+        cold = fsim_matrix(make_graph(), make_graph(), config=plain)
+        assert first.scores == cold.scores
+        assert first.deltas == cold.deltas
+        pair = fresh.pair("g", "g", plain)
+        assert pair.session.stats["cold_runs"] == 0
+        assert pair.session.executor.workers == 1
+        edge = next(iter(live.edges()))
+        fresh.mutate("g", [DeltaOp("remove_edge", *edge)])
+        edited = make_graph()
+        edited.remove_edge(*edge)
+        after = fresh.fsim("g", "g")
+        cold = fsim_matrix(edited, edited, config=plain)
+        assert after.scores == cold.scores
+        assert after.deltas == cold.deltas
+        assert pair.session.stats["cold_runs"] == 0
+        assert pair.session.stats["compiled_patches"] == 1
+        fresh.close()
+
     def test_stale_snapshot_is_rejected(self, tmp_path):
         path = tmp_path / "g.snap"
         store = GraphStore(default_config=numpy_config())
@@ -633,10 +677,11 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="different config"):
             restore_snapshot(fresh, path, graph=make_graph(),
                              config=fresh.default_config)
-        # Same flags (even with orthogonal workers/executor settings,
-        # which never change values) restore fine.
-        fresh2 = GraphStore(default_config=numpy_config(theta=0.0),
-                            workers=2)
+        # Same flags (even with an orthogonal workers setting, which
+        # never changes values) restore fine -- served in-process.
+        fresh2 = GraphStore(default_config=numpy_config(theta=0.0,
+                                                        workers=2))
+        assert fresh2.default_config.workers == 1
         restore_snapshot(fresh2, path, graph=make_graph(),
                          config=fresh2.default_config)
         fresh2.close()
