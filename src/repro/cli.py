@@ -66,6 +66,46 @@ from typing import List, Optional
 from repro.simulation.base import Variant
 
 
+def _add_config_flags(parser, backend: str, backend_flag: bool = True,
+                      workers_flag: bool = True) -> None:
+    """The config flags of a solving command: the score fields
+    ``--variant/--theta/--label-function``, ``--backend`` (default
+    ``backend``; fixed to it without ``backend_flag``) and ``--workers``."""
+    parser.add_argument(
+        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
+        default="s",
+    )
+    parser.add_argument("--theta", type=float, default=0.0)
+    parser.add_argument("--label-function", default="jaro_winkler")
+    if backend_flag:
+        parser.add_argument(
+            "--backend", choices=["auto", "python", "numpy"], default=backend,
+            help="compute backend (auto = vectorized engine when expressible)",
+        )
+    else:
+        parser.set_defaults(backend=backend)
+    if workers_flag:
+        parser.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes (a forked pool; serial where fork is "
+                 "unavailable)",
+        )
+
+
+def _config_from_args(args):
+    """The :class:`~repro.core.config.FSimConfig` the config flags name."""
+    from repro.core.config import FSimConfig
+
+    workers = getattr(args, "workers", None)
+    return FSimConfig(
+        variant=Variant(args.variant),
+        theta=args.theta,
+        label_function=args.label_function,
+        backend=args.backend,
+        workers=1 if workers is None else workers,
+    )
+
+
 def _cmd_datasets(args) -> int:
     from repro.datasets import dataset_table
 
@@ -79,15 +119,7 @@ def _cmd_fsim(args) -> int:
 
     graph1 = load_graph(args.graph1)
     graph2 = load_graph(args.graph2)
-    result = fsim_matrix(
-        graph1,
-        graph2,
-        Variant(args.variant),
-        theta=args.theta,
-        label_function=args.label_function,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    result = fsim_matrix(graph1, graph2, config=_config_from_args(args))
     print(
         f"# FSim{args.variant}: {graph1.num_nodes}x{graph2.num_nodes} nodes, "
         f"{result.num_candidates} candidate pairs, "
@@ -100,21 +132,14 @@ def _cmd_fsim(args) -> int:
 
 
 def _cmd_topk(args) -> int:
-    from repro.core.config import FSimConfig
     from repro.core.topk import TopKSearch
     from repro.graph.io import load_graph
 
     graph1 = load_graph(args.graph1)
     graph2 = load_graph(args.graph2)
-    config = FSimConfig(
-        variant=Variant(args.variant),
-        theta=args.theta,
-        label_function=args.label_function,
-        backend=args.backend,
-    )
-    results = TopKSearch(graph1, graph2, config).search_many(
-        args.query, args.k, workers=args.workers,
-    )
+    results = TopKSearch(
+        graph1, graph2, _config_from_args(args)
+    ).search_many(args.query, args.k)
     for result in results:
         status = "certified" if result.certified else "best-effort"
         print(
@@ -129,7 +154,6 @@ def _cmd_topk(args) -> int:
 def _cmd_stream(args) -> int:
     import time
 
-    from repro.core.config import FSimConfig
     from repro.graph.io import load_graph
     from repro.streaming import (
         IncrementalFSim,
@@ -139,16 +163,10 @@ def _cmd_stream(args) -> int:
 
     graph1 = load_graph(args.graph1)
     graph2 = graph1 if args.graph2 == args.graph1 else load_graph(args.graph2)
-    config = FSimConfig(
-        variant=Variant(args.variant),
-        theta=args.theta,
-        label_function=args.label_function,
-        backend="numpy",
-    )
     with open(args.script, "r", encoding="utf-8") as handle:
         script = parse_edit_script(handle)
     session = IncrementalFSim(
-        graph1, graph2, config, mode=args.mode, workers=args.workers,
+        graph1, graph2, _config_from_args(args), mode=args.mode,
     )
     start = time.perf_counter()
     result = session.compute()
@@ -197,7 +215,6 @@ def _parse_named(pairs: List[str], flag: str) -> List[tuple]:
 def _cmd_serve(args) -> int:
     import pathlib
 
-    from repro.core.config import FSimConfig
     from repro.exceptions import SnapshotError
     from repro.graph.io import load_graph
     from repro.service import FSimServer, GraphStore
@@ -218,12 +235,7 @@ def _cmd_serve(args) -> int:
         )
     if not graphs and not args.wal_dir and not replicate_from:
         raise SystemExit("serve needs at least one --graph NAME=PATH")
-    config = FSimConfig(
-        variant=Variant(args.variant),
-        theta=args.theta,
-        label_function=args.label_function,
-        backend=args.backend,
-    )
+    config = _config_from_args(args)
     store = GraphStore(default_config=config)
     if args.wal_dir:
         from repro.service import recover_store
@@ -313,18 +325,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from repro.core.config import FSimConfig
     from repro.service import recover_store
     from repro.service.snapshot import graph_fingerprint
 
-    config = FSimConfig(
-        variant=Variant(args.variant),
-        theta=args.theta,
-        label_function=args.label_function,
-        backend=args.backend,
-    )
     store, report = recover_store(
-        args.wal_dir, config=config, attach=False,
+        args.wal_dir, config=_config_from_args(args), attach=False,
         strict_config=args.strict_config,
     )
     print(f"# recovery: {report.summary()}")
@@ -724,21 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsim = commands.add_parser("fsim", help="score two graphs from files")
     fsim.add_argument("graph1")
     fsim.add_argument("graph2")
-    fsim.add_argument(
-        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
-        default="s",
-    )
-    fsim.add_argument("--theta", type=float, default=0.0)
-    fsim.add_argument("--label-function", default="jaro_winkler")
-    fsim.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (a forked pool; serial where fork is "
-             "unavailable)",
-    )
-    fsim.add_argument(
-        "--backend", choices=["auto", "python", "numpy"], default="auto",
-        help="compute backend (auto = vectorized engine when expressible)",
-    )
+    _add_config_flags(fsim, backend="auto")
     fsim.add_argument("--top", type=int, default=20, help="pairs to print")
     fsim.set_defaults(handler=_cmd_fsim)
 
@@ -752,21 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query node in GRAPH1 (repeat for a batch)",
     )
     topk.add_argument("-k", type=int, default=5, help="partners per query")
-    topk.add_argument(
-        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
-        default="s",
-    )
-    topk.add_argument("--theta", type=float, default=0.0)
-    topk.add_argument("--label-function", default="jaro_winkler")
-    topk.add_argument(
-        "--backend", choices=["auto", "python", "numpy"], default="auto",
-        help="compute backend (auto = vectorized engine when expressible)",
-    )
-    topk.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (a forked pool; serial where fork is "
-             "unavailable)",
-    )
+    _add_config_flags(topk, backend="auto")
     topk.set_defaults(handler=_cmd_topk)
 
     stream = commands.add_parser(
@@ -787,17 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay = bitwise-exact incremental recomputation; "
              "warm = epsilon-accurate warm start",
     )
-    stream.add_argument(
-        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
-        default="s",
-    )
-    stream.add_argument("--theta", type=float, default=0.0)
-    stream.add_argument("--label-function", default="jaro_winkler")
-    stream.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (a forked pool; serial where fork is "
-             "unavailable)",
-    )
+    _add_config_flags(stream, backend="numpy", backend_flag=False)
     stream.add_argument("--top", type=int, default=10, help="pairs to print")
     stream.set_defaults(handler=_cmd_stream)
 
@@ -827,16 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flush a batch early at this size")
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="admission-control bound on queued requests")
-    serve.add_argument(
-        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
-        default="s",
-    )
-    serve.add_argument("--theta", type=float, default=0.0)
-    serve.add_argument("--label-function", default="jaro_winkler")
-    serve.add_argument(
-        "--backend", choices=["auto", "python", "numpy"], default="numpy",
-        help="default compute backend for registered graphs",
-    )
+    _add_config_flags(serve, backend="numpy", workers_flag=False)
     serve.add_argument(
         "--snapshot-dir", default=None,
         help="restore NAME.snap warm snapshots at startup (stale ones "
@@ -900,15 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "recovered store state"
     )
     recover.add_argument("--wal-dir", required=True)
-    recover.add_argument(
-        "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],
-        default="s",
-    )
-    recover.add_argument("--theta", type=float, default=0.0)
-    recover.add_argument("--label-function", default="jaro_winkler")
-    recover.add_argument(
-        "--backend", choices=["auto", "python", "numpy"], default="numpy",
-    )
+    _add_config_flags(recover, backend="numpy", workers_flag=False)
     recover.add_argument(
         "--strict-config", action="store_true",
         help="check snapshots against the flags above (default: restore "

@@ -26,11 +26,18 @@ Mirrors the paper's knobs:
   the platform forks, and runs serially with a ``RuntimeWarning``
   elsewhere (see :mod:`repro.runtime`); scores are bitwise identical
   at every worker count.
+
+Only ``backend`` and ``workers`` decide how Algorithm 1 runs; every
+other field decides what it computes.  :func:`score_key` is the one
+identity of the latter: result caches, pair state, snapshot
+fingerprints and the shadow auditor all key on it, so configs that
+differ only in execution fields share every cache.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
@@ -39,6 +46,16 @@ from repro.labels.similarity import LabelSimilarity, get_label_function
 from repro.simulation.base import Variant
 
 Pair = Tuple[Hashable, Hashable]
+
+#: The execution fields, with the values the python reference engine
+#: runs under.  They never change a score; every other field does.
+EXECUTION_REFERENCE = {"backend": "python", "workers": 1}
+#: Score fields only code can set: callables and pair-keyed mappings,
+#: which a JSON request cannot express.
+PROGRAMMATIC_FIELDS = ("init_function", "pinned_pairs", "candidate_filter")
+#: Names of fields since removed.  Pickled configs and ``register``
+#: records of older releases may still carry them.
+RETIRED_FIELDS = ("executor", "shards", "arena_backend")
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,8 @@ class FSimConfig:
 
     def __setstate__(self, state):
         # Configs pickled into older snapshots and WAL records may carry
-        # fields since retired (``executor``); restore only live ones.
+        # retired fields, and newer pickles the cached score key;
+        # restore only live fields.
         names = {item.name for item in fields(self)}
         self.__dict__.update(
             (key, value) for key, value in state.items() if key in names
@@ -144,6 +162,43 @@ class FSimConfig:
     def with_options(self, **changes) -> "FSimConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+EXECUTION_FIELDS = tuple(EXECUTION_REFERENCE)
+SCORE_FIELDS = tuple(item.name for item in fields(FSimConfig)
+                     if item.name not in EXECUTION_FIELDS)
+#: The score fields a JSON request (the service's ``params``) may set.
+JSON_SCORE_FIELDS = tuple(name for name in SCORE_FIELDS
+                          if name not in PROGRAMMATIC_FIELDS)
+
+
+def _key_value(value):
+    if isinstance(value, Variant):
+        return value.value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return tuple(sorted(map(repr, value.items())))
+    try:
+        # What a snapshot stores of a callable (a function: its module
+        # and name), so its key and fingerprint hold across processes.
+        return pickle.dumps(value, protocol=4)
+    except Exception:  # lambdas and closures; no snapshot holds them
+        return repr(value)
+
+
+def score_key(config: FSimConfig) -> tuple:
+    """The hashable identity of ``config``'s score fields.
+
+    Two configs with equal keys give bitwise-identical scores, whatever
+    their execution fields.  Computed once per config object.
+    """
+    key = config.__dict__.get("_score_key")
+    if key is None:
+        key = tuple(_key_value(getattr(config, name))
+                    for name in SCORE_FIELDS)
+        config.__dict__["_score_key"] = key
+    return key
 
 
 #: Configuration presets used throughout the paper's experiments.

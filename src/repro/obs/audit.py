@@ -35,6 +35,7 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.config import EXECUTION_REFERENCE, score_key
 from repro.obs import log as obs_log
 from repro.obs import metrics, tracing
 
@@ -43,11 +44,6 @@ logger = obs_log.get_logger("obs.audit")
 AUDIT_COUNTER = "repro_audit_total"
 AUDIT_SECONDS = "repro_audit_seconds"
 AUDIT_DROPPED = "repro_audit_dropped_total"
-
-#: Config fields forced onto the reference re-execution -- maximally
-#: independent of whatever fast path served the live answer.
-REFERENCE_OVERRIDES = dict(backend="python", workers=1)
-
 
 def fingerprint_scores(scores) -> str:
     """A stable digest of an FSim score mapping, exact for floats
@@ -251,7 +247,9 @@ class ShadowAuditor:
 
     @staticmethod
     def _reference_config(config):
-        return config.with_options(**REFERENCE_OVERRIDES)
+        # Execution fields reset to the reference engine's: maximally
+        # independent of whatever fast path served the live answer.
+        return config.with_options(**EXECUTION_REFERENCE)
 
     def _versions_moved(self, item: dict) -> bool:
         if item["op"] == "matrix":
@@ -343,8 +341,6 @@ class ShadowAuditor:
 
     @staticmethod
     def _describe_request(item: dict) -> dict:
-        from repro.service.store import config_key
-
         if item["op"] == "matrix":
             pairs = item["pairs"]
             return {
@@ -352,7 +348,7 @@ class ShadowAuditor:
                 "graphs1": [pair.reg1.name for pair in pairs],
                 "graph2": pairs[0].reg2.name if pairs else None,
                 "versions": [list(v) for v in item["versions_list"]],
-                "config": list(map(str, config_key(pairs[0].config)))
+                "config": list(map(str, score_key(pairs[0].config)))
                 if pairs else [],
             }
         pair = item["pair"]
@@ -361,7 +357,7 @@ class ShadowAuditor:
             "graph1": pair.reg1.name,
             "graph2": pair.reg2.name,
             "versions": list(item["versions"]),
-            "config": list(map(str, config_key(pair.config))),
+            "config": list(map(str, score_key(pair.config))),
         }
         if item["op"] == "topk":
             out["k"] = item["k"]

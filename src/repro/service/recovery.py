@@ -11,8 +11,8 @@ append-only :mod:`~repro.service.wal` segment.  Recovery is:
    :class:`~repro.exceptions.WalCorruptionError`;
 2. **restore snapshots** -- each snapshot registers its embedded graph
    with its warm state (plan, session trajectory, converged scores)
-   and its WAL watermark ``wal_seq``.  A snapshot computed under a
-   different config than the one now being served contributes its
+   and its WAL watermark ``wal_seq``.  A snapshot whose config has a
+   different score key than the one now being served contributes its
    *structure* only (scores are recomputed under the new config --
    never silently served stale);
 3. **replay the WAL suffix** -- records with ``seq`` greater than the
@@ -41,12 +41,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.config import FSimConfig
+from repro.core.config import (
+    EXECUTION_FIELDS,
+    RETIRED_FIELDS,
+    FSimConfig,
+    score_key,
+)
 from repro.exceptions import ServiceError, SnapshotError
 from repro.service.snapshot import (
+    adopt_snapshot_payload,
     graph_fingerprint,
     load_snapshot,
-    restore_snapshot,
 )
 from repro.service.store import GraphStore, apply_config_params
 from repro.service.wal import (
@@ -112,29 +117,23 @@ def _restore_snapshot_tolerant(
     come back through a replayed ``register`` record.
     """
     try:
-        registered = restore_snapshot(
-            store, path, config=served_config, replace=True
-        )
-        report.snapshots_warm += 1
-        return registered.name
-    except SnapshotError as exc:
-        config_drift = "different config" in str(exc)
-        if not config_drift:
-            logger.warning("snapshot %s unusable: %s", path, exc)
-            return None
-    # Config drift: the warm scores are for the old config, but the
-    # graph *structure* is still the durable truth -- register it cold
-    # under the served config (scores recompute on first query).
-    try:
         payload = load_snapshot(path)
-        embedded = payload["graph"]
-        expected = graph_fingerprint(embedded, payload["config"])
-        if expected != payload["fingerprint"]:
-            logger.warning("snapshot %s fails its own fingerprint; "
-                           "skipping", path)
-            return None
+        if served_config is None \
+                or score_key(served_config) == score_key(payload["config"]):
+            registered = adopt_snapshot_payload(
+                store, payload, config=served_config, replace=True,
+                origin=str(path),
+            )
+            report.snapshots_warm += 1
+            return registered.name
+        # Config drift: the warm scores are for the old config, but the
+        # graph *structure* is still the durable truth -- register it
+        # cold under the served config (scores recompute on first query).
+        if graph_fingerprint(payload["graph"], payload["config"],
+                             payload["format"]) != payload["fingerprint"]:
+            raise SnapshotError("it fails its own fingerprint")
         registered = store.register(
-            payload["name"], embedded, served_config, replace=True,
+            payload["name"], payload["graph"], served_config, replace=True,
             source={"snapshot": str(path)},
         )
         registered.wal_seq = int(payload.get("wal_seq", 0))
@@ -143,11 +142,6 @@ def _restore_snapshot_tolerant(
     except (SnapshotError, ServiceError) as exc:
         logger.warning("snapshot %s unusable: %s", path, exc)
         return None
-
-
-#: Execution fields a ``register`` record may carry from before its
-#: params were validated (the last two name knobs since removed).
-RETIRED_REGISTER_PARAMS = ("workers", "executor", "shards", "arena_backend")
 
 
 def _register_from_source(store: GraphStore, record: dict,
@@ -168,7 +162,8 @@ def _register_from_source(store: GraphStore, record: dict,
             store, Path(source["snapshot"]), served_config, report
         ) is not None
     params = dict(source.get("params") or {})
-    dropped = sorted(key for key in RETIRED_REGISTER_PARAMS if key in params)
+    dropped = sorted(key for key in EXECUTION_FIELDS + RETIRED_FIELDS
+                     if key in params)
     if dropped:
         # Accepted before register validated its params; none of them
         # ever changed a score, so the graph replays without them.

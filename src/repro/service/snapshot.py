@@ -9,9 +9,12 @@ incremental serving resumes seamlessly) -- and restores it behind a
 **content fingerprint**:
 
 - the fingerprint hashes the graph's nodes, labels and edges *in
-  insertion order* plus the effective config, so a snapshot taken on a
-  different graph (or a graph file that changed on disk) never
+  insertion order* plus the config's score key, so a snapshot taken on
+  a different graph (or a graph file that changed on disk) never
   restores -- the caller falls back to a cold registration;
+- a config whose score key differs from the embedded one (any score
+  field, ``pinned_pairs`` and ``candidate_filter`` included) makes the
+  snapshot stale; execution fields (``backend``, ``workers``) never do;
 - the graph's in-process :attr:`~repro.graph.digraph.LabeledDigraph.version`
   counter is process-local and therefore deliberately **not** part of
   the check; the restored plan is re-keyed on the live graph's current
@@ -33,16 +36,23 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.config import FSimConfig
+from repro.core.config import (
+    JSON_SCORE_FIELDS,
+    SCORE_FIELDS,
+    FSimConfig,
+    score_key,
+)
 from repro.core.plan import adopt_plan, lower_graph
 from repro.exceptions import ConfigError, SnapshotError
 from repro.graph.digraph import LabeledDigraph
-from repro.service.store import GraphStore, PairState, RegisteredGraph, config_key
+from repro.service.store import GraphStore, PairState, RegisteredGraph
 
 PathLike = Union[str, Path]
 
-#: Bump on any incompatible change to the payload layout.
-SNAPSHOT_FORMAT = 1
+#: Bump on any incompatible change to the payload layout.  Format 1
+#: fingerprinted a 13-field config identity (see :func:`_format1_key`);
+#: format 2 fingerprints the score key.  Both load.
+SNAPSHOT_FORMAT = 2
 
 
 class _RetiredSlabStore:
@@ -68,8 +78,19 @@ def loads_payload(data: bytes) -> dict:
     return payload
 
 
-def graph_fingerprint(graph: LabeledDigraph, config: FSimConfig) -> str:
-    """Content hash of (graph structure, effective config).
+def _format1_key(config: FSimConfig) -> tuple:
+    """The config identity format-1 fingerprints hashed: the
+    JSON-expressible score fields (a callable label function by its
+    ``repr``), then ``backend``."""
+    label = config.label_function
+    key = dict(zip(SCORE_FIELDS, score_key(config)), label_function=(
+        label if isinstance(label, str) else repr(label)))
+    return tuple(key[name] for name in JSON_SCORE_FIELDS) + (config.backend,)
+
+
+def graph_fingerprint(graph: LabeledDigraph, config: FSimConfig,
+                      snapshot_format: int = SNAPSHOT_FORMAT) -> str:
+    """Content hash of (graph structure, config score key).
 
     Insertion order is part of the identity on purpose: two graphs with
     equal edge *sets* but different adjacency order converge to last-ulp
@@ -77,12 +98,13 @@ def graph_fingerprint(graph: LabeledDigraph, config: FSimConfig) -> str:
     graph it was computed from.
     """
     hasher = hashlib.sha256()
-    hasher.update(f"format:{SNAPSHOT_FORMAT}\n".encode())
+    hasher.update(f"format:{snapshot_format}\n".encode())
     for node in graph.nodes():
         hasher.update(f"v\t{node!r}\t{graph.label(node)!r}\n".encode())
     for source, target in graph.edges():
         hasher.update(f"e\t{source!r}\t{target!r}\n".encode())
-    hasher.update(repr(config_key(config)).encode())
+    key = score_key(config) if snapshot_format > 1 else _format1_key(config)
+    hasher.update(repr(key).encode())
     return hasher.hexdigest()
 
 
@@ -184,7 +206,7 @@ def load_snapshot(path: PathLike) -> dict:
     except Exception as exc:
         raise SnapshotError(f"unreadable snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict) \
-            or payload.get("format") != SNAPSHOT_FORMAT:
+            or payload.get("format") not in (1, SNAPSHOT_FORMAT):
         raise SnapshotError(
             f"snapshot {path} has format "
             f"{payload.get('format') if isinstance(payload, dict) else '?'}"
@@ -243,17 +265,15 @@ def adopt_snapshot_payload(
     (the snapshot path, or the primary's address).
     """
     origin = origin or "<payload>"
-    if config is not None and config_key(config) != config_key(
-            payload["config"]):
+    if config is not None \
+            and score_key(config) != score_key(payload["config"]):
         raise SnapshotError(
             f"snapshot {origin} is stale: it was computed under a "
             f"different config than the one being served"
         )
-    if config is None:
-        config = payload["config"]
     if graph is None:
         graph = payload["graph"]
-    live = graph_fingerprint(graph, config)
+    live = graph_fingerprint(graph, payload["config"], payload["format"])
     if live != payload["fingerprint"]:
         raise SnapshotError(
             f"snapshot {origin} is stale: fingerprint "
@@ -261,18 +281,12 @@ def adopt_snapshot_payload(
             f"graph ({live[:12]})"
         )
     registered = store.register(
-        name or payload["name"], graph, config, replace=replace,
-        source={"snapshot": origin},
+        name or payload["name"], graph, config or payload["config"],
+        replace=replace, source={"snapshot": origin},
     )
     registered.wal_seq = int(payload.get("wal_seq", 0))
-    # Value-identical configs (the key matched) may still differ in
-    # ``workers``, which the store pins to 1 -- the saved run's value
-    # is not the served one.  Adopt the session state under the
-    # registered config.
     config = registered.config
     session_state = payload["session_state"]
-    if session_state is not None:
-        session_state = dict(session_state, config=config)
     if payload.get("plan") is not None:
         # The plan describes this exact structure (fingerprint-checked):
         # re-key it on the live version counter so the next lowering hits.

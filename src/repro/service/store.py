@@ -10,8 +10,10 @@ One :class:`GraphStore` owns everything a long-lived server keeps warm:
   *replicating* the journaled ops into its own log
   (:meth:`~repro.streaming.delta.DeltaLog.record_applied`) instead of
   falling back to a cold resynchronization;
-- **pair state** -- per queried ``(graph1, graph2, config)``
-  combination, an LRU-bounded :class:`PairState` holding an optional
+- **pair state** -- per queried ``(graph1, graph2, score key)``
+  combination (:func:`~repro.core.config.score_key`: configs that
+  differ only in ``backend`` or ``workers`` share it), an LRU-bounded
+  :class:`PairState` holding an optional
   :class:`~repro.streaming.session.IncrementalFSim` session (scores
   maintained incrementally across mutations) and an LRU result cache
   keyed on the graphs' version counters, with explicit
@@ -35,7 +37,7 @@ from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.api import fsim_matrix, fsim_matrix_many
-from repro.core.config import FSimConfig
+from repro.core.config import JSON_SCORE_FIELDS, FSimConfig, score_key
 from repro.core.engine import FSimResult, vectorized_fallback_reason
 from repro.core.plan import plan_cache_stats
 from repro.core.topk import TopKResult, TopKSearch
@@ -64,21 +66,14 @@ JOURNAL_CAP = 4096
 #: retries within seconds, not after 4096 intervening mutations).
 RID_CAP = 4096
 
-#: Request parameters that may override a registered graph's config
-#: (on ``register`` and on every read).  ``workers`` is not one of
-#: them: the service always sweeps in-process (see :func:`in_process`).
-CONFIG_PARAMS = (
-    "variant", "w_out", "w_in", "label_function", "theta",
-    "use_upper_bound", "alpha", "beta", "epsilon", "max_iterations",
-    "matching_mode", "normalizer", "backend",
-)
-
 
 def apply_config_params(config: FSimConfig, params) -> FSimConfig:
     """``config`` with client ``params`` applied.
 
-    Only :data:`CONFIG_PARAMS` keys pass (``variant`` is coerced); any
-    other key, or an invalid value, is a typed :class:`ServiceError`.
+    Only the JSON-expressible score fields pass (``variant`` is
+    coerced); any other key -- an execution field such as ``backend``
+    or ``workers`` included -- or an invalid value, is a typed
+    :class:`ServiceError`.
     """
     if not params:
         return config
@@ -86,7 +81,7 @@ def apply_config_params(config: FSimConfig, params) -> FSimConfig:
         raise ServiceError("params must be a JSON object")
     overrides = {}
     for key, value in params.items():
-        if key not in CONFIG_PARAMS:
+        if key not in JSON_SCORE_FIELDS:
             raise ServiceError(f"unknown config parameter {key!r}")
         overrides[key] = Variant(value) if key == "variant" else value
     try:
@@ -107,19 +102,6 @@ def in_process(config: FSimConfig) -> FSimConfig:
     if config.workers == 1:
         return config
     return config.with_options(workers=1)
-
-
-def config_key(config: FSimConfig) -> tuple:
-    """A hashable canonical identity of a config (cache keying)."""
-    label = config.label_function
-    if not isinstance(label, str):
-        label = repr(label)
-    return (
-        config.variant.value, config.w_out, config.w_in, label,
-        config.theta, config.use_upper_bound, config.alpha, config.beta,
-        config.epsilon, config.max_iterations, config.matching_mode,
-        config.normalizer, config.backend,
-    )
 
 
 class LruCache:
@@ -402,7 +384,7 @@ class GraphStore:
         """The (LRU-cached) pair state for this graph/config combination."""
         reg1 = self.graph(name1)
         reg2 = self.graph(name2)
-        key = (name1, name2, config_key(config))
+        key = (name1, name2, score_key(config))
         with self._lock:
             state = self._pairs.get(key)
             if state is not None:
@@ -421,14 +403,14 @@ class GraphStore:
         """The existing pair state, or ``None`` -- never builds one
         (snapshot compaction must not spin up sessions as a side
         effect)."""
-        key = (name1, name2, config_key(config))
+        key = (name1, name2, score_key(config))
         with self._lock:
             return self._pairs.get(key)
 
     def adopt_pair(self, state: PairState) -> None:
         """Install externally built pair state (the snapshot-restore
         path), evicting any colder entry for the same key."""
-        key = (state.reg1.name, state.reg2.name, config_key(state.config))
+        key = (state.reg1.name, state.reg2.name, score_key(state.config))
         with self._lock:
             self._pairs.pop(key, None)
             self._pairs[key] = state

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.compile import CompiledFSim, compile_fsim
-from repro.core.config import FSimConfig
+from repro.core.config import FSimConfig, score_key
 from repro.core.engine import FSimEngine, FSimResult, vectorized_fallback_reason
 from repro.core.plan import lower_graph, patch_cached_plan
 from repro.core.vectorized import VectorizedFSimEngine
@@ -206,16 +206,18 @@ class IncrementalFSim:
 
         The caller is responsible for the graphs matching the payload
         (the service layer enforces this with a content fingerprint
-        before calling).  After adoption, a :meth:`compute` with no
-        pending mutations returns the snapshot result without compiling
-        or iterating; mutations resume incrementally from it.
+        before calling).  The payload's config must have this session's
+        score key; its execution fields may differ.  After adoption, a
+        :meth:`compute` with no pending mutations returns the snapshot
+        result without compiling or iterating; mutations resume
+        incrementally from it.
         """
         if state["mode"] != self.mode:
             raise ConfigError(
                 f"snapshot was taken in mode={state['mode']!r}, "
                 f"session runs mode={self.mode!r}"
             )
-        if state["config"] != self.config:
+        if score_key(state["config"]) != score_key(self.config):
             raise ConfigError("snapshot config does not match the session")
         if self.mode == "replay" and state["trajectory"] is None:
             # A replay session resumes from the trajectory; a payload

@@ -27,10 +27,10 @@ import time
 import pytest
 
 from repro.core import FSimConfig
+from repro.core.config import score_key
 from repro.graph.generators import random_graph, uniform_labels
 from repro.obs import federate, log as obs_log, metrics
 from repro.obs.audit import (
-    REFERENCE_OVERRIDES,
     ShadowAuditor,
     fingerprint_scores,
     fingerprint_topk,
@@ -199,13 +199,12 @@ class TestShadowAuditor:
 
     def test_reference_config_is_the_independent_path(self):
         config = numpy_config(workers=4)
-        reference = config.with_options(**REFERENCE_OVERRIDES)
+        reference = ShadowAuditor._reference_config(config)
         assert reference.backend == "python"
         assert reference.workers == 1
         # The scoring semantics must be untouched -- only the execution
         # strategy changes.
-        assert reference.variant == config.variant
-        assert reference.theta == config.theta
+        assert score_key(reference) == score_key(config)
 
 
 # ----------------------------------------------------------------------
@@ -572,10 +571,10 @@ class TestAuditEndToEnd:
         thread = threading.Thread(target=mutate_loop, daemon=True)
         thread.start()
         try:
-            # Concurrent queries on both backends while g3 churns.
+            # Concurrent queries under two configs while g3 churns.
             for round_index in range(6):
                 params = (None if round_index % 2 == 0
-                          else {"backend": "python"})
+                          else {"theta": 0.5})
                 client.fsim("g1", "g2", params=params)
                 client.topk("g1", 0, k=3, graph2="g2", params=params)
                 client.matrix(["g1", "g2"], "g3", params=params)

@@ -1,11 +1,24 @@
 """Tests for FSimConfig validation and presets."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
-from repro.core.config import FSimConfig, case_study_default, paper_default
+from repro.core.config import (
+    EXECUTION_FIELDS,
+    SCORE_FIELDS,
+    FSimConfig,
+    case_study_default,
+    paper_default,
+    score_key,
+)
 from repro.exceptions import ConfigError
+from repro.labels.similarity import indicator
 from repro.simulation import Variant
 
 
@@ -95,3 +108,76 @@ class TestHelpers:
         from repro.labels import jaro_winkler_similarity
 
         assert FSimConfig().resolved_label_function is jaro_winkler_similarity
+
+
+def _init_half(u, v):
+    return 0.5
+
+
+def _keep_all(u, v):
+    return True
+
+
+#: One changed value per score field.
+SCORE_FIELD_CHANGES = {
+    "variant": Variant.BJ, "w_out": 0.3, "w_in": 0.3,
+    "label_function": "indicator", "theta": 0.5, "use_upper_bound": True,
+    "alpha": 0.2, "beta": 0.6, "epsilon": 0.02, "max_iterations": 4,
+    "matching_mode": "exact", "init_function": _init_half,
+    "pinned_pairs": {(0, 1): 1.0}, "normalizer": "max",
+    "candidate_filter": _keep_all,
+}
+
+
+class TestScoreKey:
+    def test_fields_split_into_score_and_execution(self):
+        names = {item.name for item in fields(FSimConfig)}
+        assert set(EXECUTION_FIELDS) == {"backend", "workers"}
+        assert set(SCORE_FIELDS) == names - set(EXECUTION_FIELDS)
+        assert set(SCORE_FIELD_CHANGES) == set(SCORE_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_FIELD_CHANGES))
+    def test_every_score_field_changes_the_key(self, name):
+        base = FSimConfig()
+        changed = base.with_options(**{name: SCORE_FIELD_CHANGES[name]})
+        assert score_key(changed) != score_key(base)
+
+    def test_execution_fields_share_the_key(self):
+        base = FSimConfig(theta=0.5)
+        for changes in ({"backend": "numpy"}, {"workers": 3},
+                        {"backend": "python", "workers": 2}):
+            assert score_key(base.with_options(**changes)) == score_key(base)
+
+    def test_pinned_pairs_key_on_content_not_order(self):
+        forward = FSimConfig(pinned_pairs={(0, 1): 1.0, (2, 3): 0.5})
+        backward = FSimConfig(pinned_pairs={(2, 3): 0.5, (0, 1): 1.0})
+        moved = FSimConfig(pinned_pairs={(0, 1): 1.0, (2, 3): 0.25})
+        assert score_key(forward) == score_key(backward)
+        assert score_key(forward) != score_key(moved)
+
+    def test_key_is_cached_per_object_and_not_pickled(self):
+        config = FSimConfig(theta=0.5)
+        assert score_key(config) is score_key(config)
+        clone = pickle.loads(pickle.dumps(config))
+        assert "_score_key" not in vars(clone)
+        assert clone == config
+        assert score_key(clone) == score_key(config)
+
+    def test_function_keys_hold_across_processes(self):
+        """A module-level function keys by name, not address, so a
+        snapshot's fingerprint verifies in the next process; a lambda
+        (which no snapshot can hold) still gets a key of its own."""
+        code = ("from repro.core.config import FSimConfig, score_key\n"
+                "from repro.labels.similarity import indicator\n"
+                "print(repr(score_key(FSimConfig(label_function=indicator,"
+                " candidate_filter=indicator))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        other = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, check=True)
+        config = FSimConfig(label_function=indicator,
+                            candidate_filter=indicator)
+        assert other.stdout.strip() == repr(score_key(config))
+        lam = FSimConfig(candidate_filter=lambda u, v: True)
+        assert score_key(lam) != score_key(config)
+        assert score_key(lam) != score_key(FSimConfig(
+            candidate_filter=lambda u, v: True))

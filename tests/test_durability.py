@@ -17,8 +17,10 @@ recovered scores over the wire.
 """
 
 import asyncio
+import hashlib
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -49,6 +51,7 @@ from repro.service import (
     recover_store,
 )
 from repro.service.client import is_retryable, wire_scores
+from repro.service.snapshot import loads_payload
 from repro.service.wal import (
     WAL_FILENAME,
     SimulatedCrash,
@@ -88,6 +91,27 @@ def numpy_config(**overrides):
                    backend="numpy")
     options.update(overrides)
     return FSimConfig(**options)
+
+
+def format1_fingerprint(graph, config):
+    """A snapshot fingerprint as format 1 wrote it: the graph, then a
+    13-field config identity that ended in ``backend``."""
+    hasher = hashlib.sha256()
+    hasher.update(b"format:1\n")
+    for node in graph.nodes():
+        hasher.update(f"v\t{node!r}\t{graph.label(node)!r}\n".encode())
+    for source, target in graph.edges():
+        hasher.update(f"e\t{source!r}\t{target!r}\n".encode())
+    label = config.label_function
+    identity = (
+        config.variant.value, config.w_out, config.w_in,
+        label if isinstance(label, str) else repr(label), config.theta,
+        config.use_upper_bound, config.alpha, config.beta, config.epsilon,
+        config.max_iterations, config.matching_mode, config.normalizer,
+        config.backend,
+    )
+    hasher.update(repr(identity).encode())
+    return hasher.hexdigest()
 
 
 def register_durable(store, name="g", graph=None):
@@ -552,6 +576,56 @@ class TestSnapshotWalEdgeCases:
             assert served == numpy_config()
             assert "executor" not in vars(served)
             assert dict(recovered.fsim(name, name).scores) == expected[name]
+        recovered.close()
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_format1_snapshot_and_backend_register_recover_warm(
+            self, tmp_path, caplog, backend):
+        """A WAL directory from before the score key -- a format-1
+        compaction snapshot and a ``register`` record whose params
+        carry ``backend`` -- recovers warm and bitwise, also under a
+        served config with another backend; the recorded ``backend``
+        is dropped with a warning."""
+        store = GraphStore(default_config=numpy_config(),
+                           wal=WriteAheadLog(tmp_path, sync="always"))
+        register_durable(store)
+        store.mutate("g", [DeltaOp("add_edge", 0, 2)])
+        store.fsim("g", "g")
+        store.compact()
+        (snapshot,) = tmp_path.glob("*.snap")
+        payload = loads_payload(snapshot.read_bytes())
+        payload["format"] = 1
+        payload["fingerprint"] = format1_fingerprint(payload["graph"],
+                                                     payload["config"])
+        snapshot.write_bytes(pickle.dumps(payload))
+        other = make_graph(seed=9)
+        store.register("h", other, numpy_config(variant=Variant.DP),
+                       source={
+            "nodes": [[node, other.label(node)] for node in other.nodes()],
+            "edges": [list(edge) for edge in other.edges()],
+            "params": {"variant": "dp", "backend": "numpy"},
+        })
+        store.mutate("g", [DeltaOp("add_node", 3000, 1),
+                           DeltaOp("add_edge", 3000, 4)])
+        store.mutate("h", [DeltaOp("remove_edge",
+                                   *next(iter(other.edges())))])
+        expected = {name: dict(store.fsim(name, name).scores)
+                    for name in ("g", "h")}
+        store.close()
+        served = numpy_config(backend=backend)
+        with caplog.at_level("WARNING", logger="repro.service.recovery"):
+            recovered, report = recover_store(tmp_path, config=served,
+                                              strict_config=True)
+        assert report.snapshots_warm == 1
+        assert report.snapshots_cold == 0
+        assert report.replayed_registers == 1
+        assert "dropped execution params backend" in caplog.text
+        assert recovered.graph("h").config == served.with_options(
+            variant=Variant.DP)
+        for name in ("g", "h"):
+            assert dict(recovered.fsim(name, name).scores) == expected[name]
+        pair = recovered.pair("g", "g", recovered.graph("g").config)
+        assert pair.session.stats["cold_runs"] == 0
         recovered.close()
 
     def test_register_with_retired_execution_params_replays(

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import FSimConfig, fsim_matrix
 from repro.core.compile import MatchStructure
+from repro.core.config import score_key
 from repro.core.plan import clear_plan_caches, plan_cache_stats
 from repro.core.topk import TopKSearch
 from repro.exceptions import (
@@ -49,7 +50,7 @@ from repro.service.snapshot import (
     restore_snapshot,
     save_snapshot,
 )
-from repro.service.store import LruCache, config_key
+from repro.service.store import LruCache
 from repro.simulation import Variant
 from repro.streaming.delta import DeltaOp
 
@@ -67,6 +68,14 @@ def numpy_config(**overrides):
                    backend="numpy")
     options.update(overrides)
     return FSimConfig(**options)
+
+
+def even_first(u, v):
+    return u % 2 == 0
+
+
+def odd_first(u, v):
+    return u % 2 == 1
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +111,21 @@ class TestGraphStore:
         store.register("g", make_graph())
         with pytest.raises(ServiceError):
             store.resolve_config("g", {"not_a_knob": 1})
+        store.close()
+
+    def test_pair_state_keys_on_score_fields_only(self):
+        """Configs that differ only in execution fields share one pair
+        state (and its result cache); any score field splits them."""
+        store = GraphStore(default_config=numpy_config())
+        store.register("g", make_graph())
+        pair = store.pair("g", "g", numpy_config())
+        shared = numpy_config(backend="python", workers=2)
+        assert store.pair("g", "g", shared) is pair
+        for changed in (numpy_config(theta=0.5),
+                        numpy_config(pinned_pairs={(0, 1): 1.0}),
+                        numpy_config(backend="python",
+                                     candidate_filter=even_first)):
+            assert store.pair("g", "g", changed) is not pair
         store.close()
 
     def test_fsim_result_cache_hits_until_mutation(self):
@@ -313,6 +337,7 @@ class TestServer:
         {"workers": 2, "executor": "fork"},
         {"arena_backend": "memmap"},
         ["variant", "dp"],
+        {"backend": "python"},
     ])
     def test_register_rejects_non_score_params(self, params):
         with ServerThread(GraphStore()) as server:
@@ -331,8 +356,7 @@ class TestServer:
                     "tiny",
                     nodes=[["a", "L"], ["b", "L"], ["c", "M"]],
                     edges=[["a", "b"], ["b", "c"]],
-                    params={"label_function": "indicator",
-                            "backend": "numpy"},
+                    params={"label_function": "indicator"},
                 )
                 result = client.fsim("tiny")
                 graph = LabeledDigraph("tiny")
@@ -342,8 +366,7 @@ class TestServer:
                 graph.add_edge("b", "c")
                 direct = fsim_matrix(
                     graph, graph,
-                    config=FSimConfig(label_function="indicator",
-                                      backend="numpy"),
+                    config=FSimConfig(label_function="indicator"),
                 )
                 assert wire_scores(result) == direct.scores
 
@@ -686,6 +709,41 @@ class TestSnapshots:
                          config=fresh2.default_config)
         fresh2.close()
 
+    @pytest.mark.parametrize("field", ["pinned_pairs", "candidate_filter"])
+    def test_snapshot_under_other_score_field_restores_cold(
+            self, tmp_path, field):
+        """``pinned_pairs`` and ``candidate_filter`` change scores, so a
+        snapshot taken under one value is stale under another: restore
+        refuses it, and a cold registration serves fresh scores."""
+        if field == "pinned_pairs":
+            served = numpy_config()
+            cold = fsim_matrix(make_graph(), make_graph(), config=served)
+            lowest = min(cold.scores, key=cold.scores.get)
+            assert cold.scores[lowest] < 1.0
+            taken = numpy_config(pinned_pairs={lowest: 1.0})
+        else:
+            served = numpy_config(backend="python",
+                                  candidate_filter=odd_first)
+            taken = numpy_config(backend="python",
+                                 candidate_filter=even_first)
+        path = tmp_path / "g.snap"
+        store = GraphStore(default_config=taken)
+        store.register("g", make_graph())
+        stale = store.fsim("g", "g")
+        save_snapshot(store, "g", path)
+        store.close()
+
+        fresh = GraphStore(default_config=served)
+        with pytest.raises(SnapshotError, match="different config"):
+            restore_snapshot(fresh, path, graph=make_graph(), config=served)
+        assert fresh.graph_names() == []
+        fresh.register("g", make_graph())
+        first = fresh.fsim("g", "g")
+        cold = fsim_matrix(make_graph(), make_graph(), config=served)
+        assert first.scores == cold.scores
+        assert first.scores != stale.scores
+        fresh.close()
+
     def test_corrupt_snapshot_is_rejected(self, tmp_path):
         path = tmp_path / "junk.snap"
         path.write_bytes(b"this is not a pickle")
@@ -701,9 +759,13 @@ class TestSnapshots:
         mutated = make_graph()
         mutated.remove_edge(*next(iter(mutated.edges())))
         assert graph_fingerprint(mutated, config) != base
-        other_config = numpy_config(theta=0.5)
-        assert config_key(other_config) != config_key(config)
-        assert graph_fingerprint(make_graph(), other_config) != base
+        for other_config in (numpy_config(theta=0.5),
+                             numpy_config(pinned_pairs={(0, 1): 1.0})):
+            assert score_key(other_config) != score_key(config)
+            assert graph_fingerprint(make_graph(), other_config) != base
+        # Execution fields never change a score, so never the key.
+        python = numpy_config(backend="python", workers=2)
+        assert graph_fingerprint(make_graph(), python) == base
 
     def test_snapshot_ops_over_the_wire(self, tmp_path):
         path = str(tmp_path / "wire.snap")
